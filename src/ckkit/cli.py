@@ -45,6 +45,14 @@ def _parse_formula(text: str):
         raise CliError(f"cannot parse formula: {exc}")
 
 
+def _merge_formula_opt(args) -> None:
+    """Take --formula as the formula argument; giving both is an error."""
+    if args.formula_opt:
+        if args.formula:
+            raise CliError("give the formula either positionally or with --formula, not both")
+        args.formula = args.formula_opt
+
+
 def _formula_args(args) -> list:
     """Formulas from a positional/--formula argument and/or --formulas-file."""
     out = []
@@ -174,8 +182,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_find_countermodel(args) -> int:
-    if args.formula_opt and not args.formula:
-        args.formula = args.formula_opt
+    _merge_formula_opt(args)
     formulas = _formula_args(args)
     params = _enum_params(args)
     code = 0
@@ -192,8 +199,7 @@ def _cmd_find_countermodel(args) -> int:
 
 
 def _cmd_compare_classes(args) -> int:
-    if args.formula_opt and not args.formula:
-        args.formula = args.formula_opt
+    _merge_formula_opt(args)
     formulas = _formula_args(args)
     try:
         params = search.EnumParams(

@@ -209,7 +209,10 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse ``text`` into a Formula.  Raises ParseError on bad input."""
     p = _Parser(text)
-    f = p.formula()
+    try:
+        f = p.formula()
+    except RecursionError:
+        raise ParseError("formula nested too deeply", p.here()) from None
     if p.peek() is not None:
         raise ParseError(f"trailing input {p.peek()!r}", p.here())
     return f

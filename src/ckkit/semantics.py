@@ -12,11 +12,17 @@ Truth clauses at a world w:
 
 ``eval_diamond_unguarded`` evaluates with the classical existential
 diamond clause instead (throughout the formula); on forward-confluent
-models the two evaluators agree.
+models the two clauses agree.
 
 Formulas are compiled to postfix programs and evaluated for all worlds
-at once as bitmasks, over batches of models, by the selected kernel
-(compiled extension or pure Python; see ckkit._kernel).
+at once as bitmasks, by one of the two evaluators in ckkit._kernel:
+
+  * ``eval_packed_batch`` (the countermodel search) packs its models into
+    uint64 arrays and runs the numpy batch kernel, ``eval_programs``;
+  * ``eval_packed`` and everything built on it (``EvalContext``,
+    ``truth_mask``, ``eval_formula``, ``valid_in_model``,
+    ``eval_diamond_unguarded``) evaluates one model's Python ints with
+    ``eval_model``.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _kernel
+from ._kernel import OP_AND, OP_ATOM, OP_BOX, OP_DIA, OP_DIAC, OP_FALSUM, OP_IMP, OP_OR
 from .formula import And, Atom, Box, Diamond, Falsum, Formula, Implies, Or
 from .kripke import KripkeModel, PackedModel
 
@@ -37,30 +44,18 @@ __all__ = [
     "eval_packed_batch",
     "EvalContext",
     "eval_formula",
-    "eval",
     "valid_in_model",
     "eval_diamond_unguarded",
     "truth_mask",
 ]
 
 MAX_WORLDS = 63
-MAX_STACK = 64
-
-OP_ATOM = 0
-OP_FALSUM = 1
-OP_AND = 2
-OP_OR = 3
-OP_IMP = 4
-OP_BOX = 5
-OP_DIA = 6
-OP_DIAC = 7
 
 
 @dataclass(frozen=True)
 class Program:
-    ops: np.ndarray
-    args: np.ndarray
-    stack_need: int
+    ops: tuple[int, ...]
+    args: tuple[int, ...]
 
 
 def compile_formula(
@@ -69,15 +64,10 @@ def compile_formula(
     """Postfix-compile f; atoms missing from prop_index read the fallible mask."""
     ops: list[int] = []
     args: list[int] = []
-    depth = 0
-    max_depth = 0
 
-    def emit(op: int, arg: int = 0, pop: int = 0) -> None:
-        nonlocal depth, max_depth
+    def emit(op: int, arg: int = 0) -> None:
         ops.append(op)
         args.append(arg)
-        depth += 1 - pop
-        max_depth = max(max_depth, depth)
 
     def walk(g: Formula) -> None:
         if isinstance(g, Atom):
@@ -87,46 +77,39 @@ def compile_formula(
         elif isinstance(g, And):
             walk(g.left)
             walk(g.right)
-            emit(OP_AND, pop=2)
+            emit(OP_AND)
         elif isinstance(g, Or):
             walk(g.left)
             walk(g.right)
-            emit(OP_OR, pop=2)
+            emit(OP_OR)
         elif isinstance(g, Implies):
             walk(g.left)
             walk(g.right)
-            emit(OP_IMP, pop=2)
+            emit(OP_IMP)
         elif isinstance(g, Box):
             walk(g.inner)
-            emit(OP_BOX, pop=1)
+            emit(OP_BOX)
         elif isinstance(g, Diamond):
             walk(g.inner)
-            emit(OP_DIAC if classical_diamond else OP_DIA, pop=1)
+            emit(OP_DIAC if classical_diamond else OP_DIA)
         else:
             raise TypeError(f"not a formula: {g!r}")
 
     walk(f)
-    return Program(
-        ops=np.asarray(ops, dtype=np.int32),
-        args=np.asarray(args, dtype=np.int32),
-        stack_need=max_depth,
-    )
+    return Program(ops=tuple(ops), args=tuple(args))
+
+
+def _check_worlds(n: int) -> None:
+    if n > MAX_WORLDS:
+        raise ValueError(f"at most {MAX_WORLDS} worlds supported")
 
 
 def _pack_arrays(models: Sequence[PackedModel]):
-    n = models[0].n
-    nprops = len(models[0].props)
-    count = len(models)
-    up = np.empty((count, n), dtype=np.uint64)
-    rel = np.empty((count, n), dtype=np.uint64)
-    fal = np.empty(count, dtype=np.uint64)
-    vals = np.empty((count, max(nprops, 1)), dtype=np.uint64)
-    for i, pm in enumerate(models):
-        up[i, :] = pm.up
-        rel[i, :] = pm.rel
-        fal[i] = pm.fallible
-        for k in range(nprops):
-            vals[i, k] = pm.vals[k]
+    """uint64 arrays up, rel (models, n), fallible (models,), vals (models, props)."""
+    up = np.array([pm.up for pm in models], dtype=np.uint64)
+    rel = np.array([pm.rel for pm in models], dtype=np.uint64)
+    fal = np.array([pm.fallible for pm in models], dtype=np.uint64)
+    vals = np.array([pm.vals for pm in models], dtype=np.uint64)
     return up, rel, fal, vals
 
 
@@ -140,23 +123,19 @@ def eval_packed_batch(
     props = models[0].props
     if any(pm.n != n or pm.props != props for pm in models):
         raise ValueError("batch models must share world count and proposition list")
-    if n > MAX_WORLDS:
-        raise ValueError(f"at most {MAX_WORLDS} worlds supported")
+    _check_worlds(n)
     prog = compile_formula(f, {p: k for k, p in enumerate(props)}, classical_diamond)
     up, rel, fal, vals = _pack_arrays(models)
     out = np.empty(len(models), dtype=np.uint64)
-    kernel = _kernel.eval_programs
-    if prog.stack_need > MAX_STACK and _kernel.BACKEND == "compiled":
-        from ._kernel import _evalpy
-
-        kernel = _evalpy.eval_programs
-    kernel(prog.ops, prog.args, n, up, rel, fal, vals, out)
+    _kernel.eval_programs(prog.ops, prog.args, n, up, rel, fal, vals, out)
     return out
 
 
 def eval_packed(pm: PackedModel, f: Formula, classical_diamond: bool = False) -> int:
     """Truth mask of f over a single packed model."""
-    return int(eval_packed_batch([pm], f, classical_diamond)[0])
+    _check_worlds(pm.n)
+    prog = compile_formula(f, {p: k for k, p in enumerate(pm.props)}, classical_diamond)
+    return _kernel.eval_model(prog.ops, prog.args, pm.n, pm.up, pm.rel, pm.fallible, pm.vals)
 
 
 class EvalContext:
@@ -196,10 +175,6 @@ def eval_formula(m: KripkeModel, world: str, f: Formula) -> bool:
     """Truth of f at a world, guarded diamond clause."""
     i = m.index(world)
     return bool((truth_mask(m, f) >> i) & 1)
-
-
-# public alias; shadows the builtin only inside this module's namespace
-eval = eval_formula
 
 
 def valid_in_model(m: KripkeModel, f: Formula) -> bool:

@@ -29,6 +29,12 @@ class TestParse:
         assert out == ""
         assert err.startswith("error: cannot parse formula")
 
+    def test_deeply_nested(self, capsys):
+        code, out, err = run(capsys, "parse", "(" * 400 + "p" + ")" * 400)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot parse formula: formula nested too deeply")
+
 
 class TestCheckModel:
     def test_valid(self, capsys):
@@ -138,6 +144,13 @@ class TestFindCountermodel:
         code, _, err = run(capsys, "find-countermodel", "--max-worlds", "2")
         assert code == 1 and "no formula" in err
 
+    def test_formula_given_twice(self, capsys):
+        code, out, err = run(
+            capsys, "find-countermodel", "p -> p", "--formula", "p | ~p", "--max-worlds", "2"
+        )
+        assert (code, out) == (1, "")
+        assert "not both" in err
+
     def test_cap_error(self, capsys):
         code, _, err = run(
             capsys, "find-countermodel", "p", "--max-worlds", "7"
@@ -181,6 +194,15 @@ class TestCompareClasses:
         )
         assert code == 0
         assert out.splitlines()[-1] == "mismatches: 0"
+
+    def test_formula_given_twice(self, capsys):
+        code, out, err = run(
+            capsys,
+            "compare-classes", "p -> p", "--formula", "<> false -> false",
+            "--class-a", "ck", "--class-b", "ckb", "--max-worlds", "2",
+        )
+        assert (code, out) == (1, "")
+        assert "not both" in err
 
 
 class TestCheckProof:

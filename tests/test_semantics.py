@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from ckkit import _kernel
-from ckkit._kernel import _evalpy
-from ckkit.formula import enumerate_formulas, parse
+from ckkit.formula import And, enumerate_formulas, parse
 from ckkit.kripke import ModelDescription, figure2_model, frame_report, validate_model
 from ckkit.search import EnumParams, enumerate_models, sample_models
 from ckkit.semantics import (
@@ -165,35 +164,53 @@ class TestBatch:
         with pytest.raises(ValueError):
             eval_packed(pm, parse("false"))
 
-    def test_deep_formula_falls_back(self):
-        # stack deeper than the compiled kernel's limit still evaluates
-        from ckkit.formula import And
-
+    def test_deep_formula(self):
+        # 80 nested conjunctions leave 81 masks on the evaluation stack
         f = parse("p")
         for _ in range(80):
             f = And(parse("p"), f)
         m = figure2_model()
-        assert compile_formula(f, {"p": 0}).stack_need > 64
         assert eval_formula(m, "w", f) is True
+        assert eval_formula(m, "v", f) is False
+        assert int(eval_packed_batch([m.packed], f)[0]) == truth_mask(m, parse("p"))
 
 
 class TestKernelParity:
-    def test_both_kernels_agree(self):
-        if _kernel.BACKEND != "compiled":
-            pytest.skip("compiled kernel not built")
-        from ckkit._kernel import _evalcore
+    """The batch kernel and the one-model evaluator both agree with force."""
 
+    FORMULAS = enumerate_formulas(("p",), 4)
+
+    def check(self, models):
+        packed = [m.packed for m in models]
+        n = packed[0].n
+        assert all(pm.n == n for pm in packed)
+        arrays = _pack_arrays(packed)
+        out = np.empty(len(packed), dtype=np.uint64)
+        for f in self.FORMULAS:
+            for classical in (False, True):
+                prog = compile_formula(f, {"p": 0}, classical)
+                _kernel.eval_programs(prog.ops, prog.args, n, *arrays, out)
+                for m, pm, batch_mask in zip(models, packed, out):
+                    single = _kernel.eval_model(
+                        prog.ops, prog.args, n, pm.up, pm.rel, pm.fallible, pm.vals
+                    )
+                    expected = sum(
+                        1 << m.index(w) for w in m.worlds if force(m, w, f, classical)
+                    )
+                    assert (int(batch_mask), single) == (expected, expected), (
+                        m, f, classical,
+                    )
+
+    def test_three_world_models(self):
         params = EnumParams(max_worlds=3, props=("p",))
-        models = [m.packed for m in enumerate_models(params) if m.packed.n == 3]
-        models = models[:2000]
-        arrays = _pack_arrays(models)
-        out_c = np.empty(len(models), dtype=np.uint64)
-        out_py = np.empty(len(models), dtype=np.uint64)
-        for text in ("p -> [] <> p", "<> [] p -> p", "<> false -> false"):
-            prog = compile_formula(parse(text), {"p": 0})
-            _evalcore.eval_programs(prog.ops, prog.args, 3, *arrays, out_c)
-            _evalpy.eval_programs(prog.ops, prog.args, 3, *arrays, out_py)
-            assert np.array_equal(out_c, out_py)
+        models = [m for m in enumerate_models(params) if len(m.worlds) == 3]
+        self.check(models[:2000])
+
+    @pytest.mark.parametrize("cls", ["CK", "CKB"])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_sampled_larger_models(self, cls, n):
+        params = EnumParams(max_worlds=n, props=("p",), class_filter=cls)
+        self.check(sample_models(params, count=40, seed=n, min_worlds=n))
 
 
 class TestEvalContext:

@@ -16,6 +16,15 @@ Concrete syntax (whitespace-insensitive between tokens)::
 
 Atoms are ASCII identifiers ``[A-Za-z_][A-Za-z0-9_]*`` excluding the
 reserved words ``false`` and ``true``.
+
+Nesting is limited to ``MAX_DEPTH`` (100) levels: a formula whose tree
+has more than ``MAX_DEPTH`` connectives on one branch (each ``~``, ``[]``,
+``<>``, ``&``, ``|`` and ``->`` counts one, ``true`` one, so a chain
+``p & p & ... & p`` of 102 terms is too deep), or whose text opens more
+than ``MAX_DEPTH`` parentheses at once, raises ``ParseError("formula
+nested too deeply")``.  The printed form of a formula never nests more
+parentheses than connectives, so whatever ``parse`` accepts, ``render``
+prints and ``parse`` reads back.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ __all__ = [
     "neg",
     "FormulaStats",
     "ParseError",
+    "MAX_DEPTH",
     "parse",
     "render",
     "substitute",
@@ -98,6 +108,8 @@ def neg(f: Formula) -> Formula:
 
 RESERVED = frozenset({"false", "true"})
 
+MAX_DEPTH = 100
+
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(r"->|\[\]|<>|[~&|()]|[A-Za-z_][A-Za-z0-9_]*")
 
@@ -125,21 +137,22 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
+_PREFIX = {"~": neg, "[]": Box, "<>": Diamond}
+
+
 class _Parser:
+    """Recursive descent that recurses only into parentheses."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text) + [(None, len(text))]
         self.pos = 0
+        self.parens = 0
 
     def peek(self) -> str | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][0]
-        return None
+        return self.tokens[self.pos][0]
 
     def here(self) -> int:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][1]
-        return len(self.text)
+        return self.tokens[self.pos][1]
 
     def take(self) -> str:
         tok = self.peek()
@@ -155,38 +168,42 @@ class _Parser:
         self.pos += 1
 
     def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.peek() == "->":
-            self.take()
-            return Implies(left, self.formula())
-        return left
+        f = self.disjunction()
+        if self.peek() != "->":
+            return f
+        parts = [f]
+        while self.peek() == "->":
+            self.pos += 1
+            parts.append(self.disjunction())
+        f = parts.pop()
+        while parts:
+            f = Implies(parts.pop(), f)
+        return f
 
     def disjunction(self) -> Formula:
         f = self.conjunction()
         while self.peek() == "|":
-            self.take()
+            self.pos += 1
             f = Or(f, self.conjunction())
         return f
 
     def conjunction(self) -> Formula:
         f = self.unary()
         while self.peek() == "&":
-            self.take()
+            self.pos += 1
             f = And(f, self.unary())
         return f
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok == "~":
-            self.take()
-            return neg(self.unary())
-        if tok == "[]":
-            self.take()
-            return Box(self.unary())
-        if tok == "<>":
-            self.take()
-            return Diamond(self.unary())
-        return self.atomexpr()
+        if self.peek() not in _PREFIX:
+            return self.atomexpr()
+        prefix = []
+        while self.peek() in _PREFIX:
+            prefix.append(_PREFIX[self.take()])
+        f = self.atomexpr()
+        for make in reversed(prefix):
+            f = make(f)
+        return f
 
     def atomexpr(self) -> Formula:
         pos = self.here()
@@ -196,8 +213,12 @@ class _Parser:
         if tok == "true":
             return TRUE
         if tok == "(":
+            self.parens += 1
+            if self.parens > MAX_DEPTH:
+                raise ParseError("formula nested too deeply", pos)
             f = self.formula()
             self.expect(")")
+            self.parens -= 1
             return f
         if _IDENT_RE.fullmatch(tok):
             if tok in RESERVED:
@@ -206,15 +227,34 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r}", pos)
 
 
+def _depth(f: Formula) -> int:
+    """Connectives on the deepest branch of f, counted level by level."""
+    depth, level = 0, [f]
+    while True:
+        below = []
+        for g in level:
+            if isinstance(g, (And, Or, Implies)):
+                below += (g.left, g.right)
+            elif isinstance(g, (Box, Diamond)):
+                below.append(g.inner)
+        if not below:
+            return depth
+        depth += 1
+        level = below
+
+
 def parse(text: str) -> Formula:
-    """Parse ``text`` into a Formula.  Raises ParseError on bad input."""
+    """Parse ``text`` into a Formula.  Raises ParseError on bad input.
+
+    See the module docstring for the nesting limit.
+    """
     p = _Parser(text)
-    try:
-        f = p.formula()
-    except RecursionError:
-        raise ParseError("formula nested too deeply", p.here()) from None
+    f = p.formula()
     if p.peek() is not None:
         raise ParseError(f"trailing input {p.peek()!r}", p.here())
+    # Each token adds at most one connective, so short texts are shallow.
+    if len(p.tokens) > MAX_DEPTH and _depth(f) > MAX_DEPTH:
+        raise ParseError("formula nested too deeply", 0)
     return f
 
 

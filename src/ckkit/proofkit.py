@@ -59,6 +59,8 @@ def _atomic(f: Formula) -> bool:
     return isinstance(f, (Atom, Box, Diamond))
 
 
+# Sequent memo of the running ipc_valid call, emptied when that call
+# returns, so memory does not grow with the number of calls.
 _memo: dict[tuple[frozenset, Formula], bool] = {}
 
 
@@ -138,7 +140,10 @@ def _prove_uncached(gamma: set, goal: Formula) -> bool:
 
 def ipc_valid(f: Formula) -> bool:
     """Intuitionistic propositional validity, modal subformulas as atoms."""
-    return _prove(frozenset(), f)
+    try:
+        return _prove(frozenset(), f)
+    finally:
+        _memo.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,20 @@ valuation extending it, each exactly once.  Enumeration order is world
 count ascending, then the preorder by bitmask, then the relation, then
 the fallible set, then the valuation, so searches are deterministic.
 
+``enumerate_batches`` yields them as ``semantics.ModelBatch``es, the
+input of the batch kernel; ``enumerate_packed`` unpacks the same stream.
+
 The enumeration is doubly exponential; a hard cap (5 worlds, 2
-propositions by default) guards against runaway parameters.
+propositions) guards against runaway parameters.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from itertools import product
-from typing import Callable, Iterable, Iterator, Union
+from dataclasses import dataclass, replace
+from functools import cache
+from itertools import chain, islice, product
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -27,10 +31,9 @@ from .kripke import (
     bits,
     is_backward_confluent,
     is_forward_confluent,
-    is_symmetric,
     transitive_closure,
 )
-from .semantics import eval_packed_batch
+from .semantics import ModelBatch, eval_packed_batch
 
 __all__ = [
     "EnumParams",
@@ -40,6 +43,7 @@ __all__ = [
     "EnumerationCapError",
     "enumerate_models",
     "enumerate_packed",
+    "enumerate_batches",
     "count_preorders",
     "find_countermodel",
     "compare_classes",
@@ -49,6 +53,8 @@ __all__ = [
 
 CLASSES = ("CK", "CKB", "IK", "IKB")
 
+CAP_WORLDS = 5
+CAP_PROPS = 2
 _CHUNK = 4096
 
 
@@ -62,8 +68,7 @@ class EnumParams:
 
     class_filter picks one of CK/CKB/IK/IKB; the require_* flags compose
     extra frame constraints on top (e.g. symmetric CK models).  The IK
-    and IKB classes force allow_fallible off.  frame_predicate is an
-    optional hook called with each candidate model.
+    and IKB classes force allow_fallible off.
     """
 
     max_worlds: int
@@ -73,22 +78,19 @@ class EnumParams:
     require_symmetric: bool = False
     require_forward_confluent: bool = False
     require_backward_confluent: bool = False
-    frame_predicate: Callable[[KripkeModel], bool] | None = field(default=None, compare=False)
-    cap_worlds: int = 5
-    cap_props: int = 2
 
     def __post_init__(self):
         if self.class_filter not in CLASSES:
             raise ValueError(f"unknown class {self.class_filter!r}")
         if self.max_worlds < 1:
             raise ValueError("max_worlds must be at least 1")
-        if self.max_worlds > self.cap_worlds:
+        if self.max_worlds > CAP_WORLDS:
             raise EnumerationCapError(
-                f"max_worlds={self.max_worlds} exceeds the cap of {self.cap_worlds}"
+                f"max_worlds={self.max_worlds} exceeds the cap of {CAP_WORLDS}"
             )
-        if len(self.props) > self.cap_props:
+        if len(self.props) > CAP_PROPS:
             raise EnumerationCapError(
-                f"{len(self.props)} propositions exceed the cap of {self.cap_props}"
+                f"{len(self.props)} propositions exceed the cap of {CAP_PROPS}"
             )
         object.__setattr__(self, "props", tuple(self.props))
         if self.class_filter in ("IK", "IKB"):
@@ -104,7 +106,8 @@ class EnumParams:
 # ---------------------------------------------------------------------------
 # frame enumeration
 
-def _preorders(n: int) -> list[tuple[int, ...]]:
+@cache
+def preorders(n: int) -> list[tuple[int, ...]]:
     """All reflexive-transitive relations on n worlds, ascending bitmask order."""
     offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
     out = []
@@ -118,17 +121,6 @@ def _preorders(n: int) -> list[tuple[int, ...]]:
     # off-diagonal bit b maps to a higher full-mask bit than bit b - 1, so
     # ascending choice is ascending full-bitmask order
     return out
-
-
-_preorder_cache: dict[int, list[tuple[int, ...]]] = {}
-
-
-def preorders(n: int) -> list[tuple[int, ...]]:
-    got = _preorder_cache.get(n)
-    if got is None:
-        got = _preorders(n)
-        _preorder_cache[n] = got
-    return got
 
 
 def count_preorders(n: int) -> int:
@@ -184,44 +176,44 @@ def _iter_frames(
         _frame_cache[key] = acc
 
 
-def _upclosed_sets(up: tuple[int, ...], n: int) -> list[int]:
-    out = []
-    for s in range(1 << n):
-        if all(up[w] & ~s == 0 for w in bits(s)):
-            out.append(s)
-    return out
+def _closed_sets(rows: tuple[int, ...], n: int) -> list[int]:
+    """Sets s of worlds, ascending, with rows[w] inside s for every w in s."""
+    return [s for s in range(1 << n) if all(rows[w] & ~s == 0 for w in bits(s))]
 
 
-def _fallible_options(
-    up: tuple[int, ...], rel: tuple[int, ...], n: int, allow: bool
-) -> list[int]:
-    if not allow:
-        return [0]
-    out = []
-    for s in range(1 << n):
-        if all((up[w] | rel[w]) & ~s == 0 for w in bits(s)):
-            out.append(s)
-    return out
+def _batch(n, props, frames, index, fal, vals) -> ModelBatch:
+    """Batch of models on frames[index[i]] with fal[i] and a row of vals."""
+    up, rel = (np.array(rows, dtype=np.uint64)[index] for rows in zip(*frames))
+    vals = np.array(vals, dtype=np.uint64).reshape(len(fal), len(props))
+    return ModelBatch(n, props, up, rel, np.array(fal, dtype=np.uint64), vals)
+
+
+def enumerate_batches(params: EnumParams) -> Iterator[ModelBatch]:
+    """The model stream in batches of whole frames, cut at _CHUNK models or a new n."""
+    sym, fwd, bwd = params.frame_constraints()
+    for n in range(1, params.max_worlds + 1):
+        frames, index, fal, vals = [], [], [], []
+        for up, rel in _iter_frames(n, sym, fwd, bwd):
+            ucl = _closed_sets(up, n)
+            up_or_rel = [u | r for u, r in zip(up, rel)]
+            for fs in _closed_sets(up_or_rel, n) if params.allow_fallible else [0]:
+                vsets = [s for s in ucl if s & fs == fs]
+                count = len(vsets) ** len(params.props)
+                index += [len(frames)] * count
+                fal += [fs] * count
+                vals += chain.from_iterable(product(vsets, repeat=len(params.props)))
+            frames.append((up, rel))
+            if len(fal) >= _CHUNK:
+                yield _batch(n, params.props, frames, index, fal, vals)
+                frames, index, fal, vals = [], [], [], []
+        if fal:
+            yield _batch(n, params.props, frames, index, fal, vals)
 
 
 def enumerate_packed(params: EnumParams) -> Iterator[PackedModel]:
     """Bitmask-level model stream; see module docstring for the order."""
-    sym, fwd, bwd = params.frame_constraints()
-    nprops = len(params.props)
-    for n in range(1, params.max_worlds + 1):
-        for up, rel in _iter_frames(n, sym, fwd, bwd):
-            ucl = _upclosed_sets(up, n)
-            for fal in _fallible_options(up, rel, n, params.allow_fallible):
-                vsets = [s for s in ucl if s & fal == fal]
-                for assignment in product(vsets, repeat=nprops):
-                    pm = PackedModel(
-                        n=n, up=up, rel=rel, fallible=fal,
-                        props=params.props, vals=assignment,
-                    )
-                    if params.frame_predicate is not None:
-                        if not params.frame_predicate(pm.to_model()):
-                            continue
-                    yield pm
+    for batch in enumerate_batches(params):
+        yield from batch.models()
 
 
 def enumerate_models(params: EnumParams) -> Iterator[KripkeModel]:
@@ -252,33 +244,16 @@ SearchVerdict = Union[Counterexample, NoneFound]
 def find_countermodel(f: Formula, params: EnumParams) -> SearchVerdict:
     """First model (in enumeration order) and world where f fails, if any."""
     examined = 0
-    chunk: list[PackedModel] = []
-
-    def scan(models: list[PackedModel]):
-        masks = eval_packed_batch(models, f)
-        n = models[0].n
-        full = (1 << n) - 1
+    for batch in enumerate_batches(params):
+        masks = eval_packed_batch(batch, f)
+        full = (1 << batch.n) - 1
         hits = np.flatnonzero(masks != np.uint64(full))
         if hits.size:
-            pm = models[int(hits[0])]
-            failing = full & ~int(masks[hits[0]])
-            world_index = next(bits(failing))
+            k = int(hits[0])
+            pm = next(islice(batch.models(), k, None))
+            world_index = next(bits(full & ~int(masks[k])))
             return Counterexample(model=pm.to_model(), world=pm.world_names()[world_index])
-        return None
-
-    for pm in enumerate_packed(params):
-        if chunk and (len(chunk) >= _CHUNK or chunk[0].n != pm.n):
-            found = scan(chunk)
-            if found is not None:
-                return found
-            examined += len(chunk)
-            chunk = []
-        chunk.append(pm)
-    if chunk:
-        found = scan(chunk)
-        if found is not None:
-            return found
-        examined += len(chunk)
+        examined += len(batch)
     return NoneFound(
         max_worlds=params.max_worlds, props=params.props, models_examined=examined
     )
@@ -357,8 +332,6 @@ def sample_models(
                     elif rng.random() < 0.5:
                         rel[j] |= 1 << i
         rel = tuple(rel)
-        if sym and not is_symmetric(rel):
-            continue
         if fwd and not is_forward_confluent(up, rel):
             continue
         if bwd and not is_backward_confluent(up, rel):
@@ -392,8 +365,5 @@ def sample_models(
             n=n, up=up, rel=rel, fallible=fal,
             props=params.props, vals=tuple(vals),
         )
-        m = pm.to_model()
-        if params.frame_predicate is not None and not params.frame_predicate(m):
-            continue
-        out.append(m)
+        out.append(pm.to_model())
     return out

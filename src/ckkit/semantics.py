@@ -17,8 +17,9 @@ models the two clauses agree.
 Formulas are compiled to postfix programs and evaluated for all worlds
 at once as bitmasks, by one of the two evaluators in ckkit._kernel:
 
-  * ``eval_packed_batch`` (the countermodel search) packs its models into
-    uint64 arrays and runs the numpy batch kernel, ``eval_programs``;
+  * ``eval_packed_batch`` runs the numpy batch kernel, ``eval_programs``,
+    over a ``ModelBatch`` from the enumerator (the countermodel search) or
+    over a list of ``PackedModel``s, which ``ModelBatch.of`` packs first;
   * ``eval_packed`` and everything built on it (``EvalContext``,
     ``truth_mask``, ``eval_formula``, ``valid_in_model``,
     ``eval_diamond_unguarded``) evaluates one model's Python ints with
@@ -28,7 +29,7 @@ at once as bitmasks, by one of the two evaluators in ckkit._kernel:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .kripke import KripkeModel, PackedModel
 __all__ = [
     "Program",
     "compile_formula",
+    "ModelBatch",
     "eval_packed",
     "eval_packed_batch",
     "EvalContext",
@@ -104,6 +106,40 @@ def _check_worlds(n: int) -> None:
         raise ValueError(f"at most {MAX_WORLDS} worlds supported")
 
 
+@dataclass(frozen=True, eq=False)
+class ModelBatch:
+    """Models of one world count and prop list, as the uint64 arrays up and
+    rel (models, n), fallible (models,) and vals (models, props)."""
+
+    n: int
+    props: tuple[str, ...]
+    up: np.ndarray
+    rel: np.ndarray
+    fallible: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def of(cls, models: Sequence[PackedModel]) -> ModelBatch:
+        """Batch of a non-empty list of packed models."""
+        n, props = models[0].n, models[0].props
+        if any(pm.n != n or pm.props != props for pm in models):
+            raise ValueError("batch models must share world count and proposition list")
+        return cls(n, props, *_pack_arrays(models))
+
+    def __len__(self) -> int:
+        return len(self.fallible)
+
+    def models(self) -> Iterator[PackedModel]:
+        """The batch's models in order; models on one frame share its row tuples."""
+        rows = zip(self.up.tolist(), self.rel.tolist(), self.fallible.tolist(), self.vals.tolist())
+        last = None
+        for up_row, rel_row, fal, vals in rows:
+            if (up_row, rel_row) != last:
+                last = up_row, rel_row
+                up, rel = tuple(up_row), tuple(rel_row)
+            yield PackedModel(self.n, up, rel, fal, self.props, tuple(vals))
+
+
 def _pack_arrays(models: Sequence[PackedModel]):
     """uint64 arrays up, rel (models, n), fallible (models,), vals (models, props)."""
     up = np.array([pm.up for pm in models], dtype=np.uint64)
@@ -114,20 +150,19 @@ def _pack_arrays(models: Sequence[PackedModel]):
 
 
 def eval_packed_batch(
-    models: Sequence[PackedModel], f: Formula, classical_diamond: bool = False
+    models: ModelBatch | Sequence[PackedModel], f: Formula, classical_diamond: bool = False
 ) -> np.ndarray:
-    """Truth masks of f over a batch of models sharing world count and props."""
-    if not models:
-        return np.empty(0, dtype=np.uint64)
-    n = models[0].n
-    props = models[0].props
-    if any(pm.n != n or pm.props != props for pm in models):
-        raise ValueError("batch models must share world count and proposition list")
-    _check_worlds(n)
-    prog = compile_formula(f, {p: k for k, p in enumerate(props)}, classical_diamond)
-    up, rel, fal, vals = _pack_arrays(models)
+    """Truth masks of f over a batch, or a list of models sharing world count and props."""
+    if not isinstance(models, ModelBatch):
+        if not models:
+            return np.empty(0, dtype=np.uint64)
+        models = ModelBatch.of(models)
+    _check_worlds(models.n)
+    prog = compile_formula(f, {p: k for k, p in enumerate(models.props)}, classical_diamond)
     out = np.empty(len(models), dtype=np.uint64)
-    _kernel.eval_programs(prog.ops, prog.args, n, up, rel, fal, vals, out)
+    _kernel.eval_programs(
+        prog.ops, prog.args, models.n, models.up, models.rel, models.fallible, models.vals, out
+    )
     return out
 
 

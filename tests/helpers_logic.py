@@ -209,3 +209,22 @@ def script_mutations(script):
             else:
                 mutated = Nec(step.i, g)
             yield f"step {k + 1}: formula edit", _with_step(script, k, mutated)
+
+
+# ---------------------------------------------------------------------------
+# formula texts nested to a given depth, one per way of nesting
+
+NESTINGS = ("~", "[]", "<>", "&", "|", "->", "(->)", "~()", "true")
+
+
+def nested_text(how, depth):
+    """Text of a formula with `depth` connectives on its deepest branch."""
+    if how in ("&", "|", "->"):
+        return f" {how} ".join(["p"] * (depth + 1))
+    if how == "(->)":  # left-nested implications, one parenthesis less
+        return "(" * (depth - 1) + "p" + " -> p)" * (depth - 1) + " -> p"
+    if how == "~()":  # a parenthesis under every negation
+        return "~(" * depth + "p" + ")" * depth
+    if how == "true":  # true is false -> false
+        return "[]" * (depth - 1) + "true"
+    return how * depth + "p"

@@ -17,6 +17,7 @@ from ckkit.search import (
     EnumParams,
     NoneFound,
     compare_classes,
+    enumerate_batches,
     enumerate_models,
     find_countermodel,
     sample_models,
@@ -77,17 +78,13 @@ def test_criterion_3_soundness_suite(capsys):
     failures = []
 
     enum_params = EnumParams(max_worlds=3, props=("p",), class_filter="CKB")
-    by_n = {}
-    for m in enumerate_models(enum_params):
-        by_n.setdefault(len(m.worlds), []).append(m.packed)
-    enumerated = sum(len(v) for v in by_n.values())
-    for n, packed in sorted(by_n.items()):
-        full = (1 << n) - 1
+    enumerated = 0
+    for batch in enumerate_batches(enum_params):
+        enumerated += len(batch)
+        full = (1 << batch.n) - 1
         for f in axiom_instances:
-            masks = eval_packed_batch(packed, f)
-            for pm, mask in zip(packed, masks):
-                if int(mask) != full:
-                    failures.append((pm, f))
+            masks = eval_packed_batch(batch, f).tolist()
+            failures.extend((f, batch.n, k) for k, mask in enumerate(masks) if mask != full)
 
     sampled = sample_models(
         EnumParams(max_worlds=5, props=("p", "q"), class_filter="CKB"),
@@ -114,15 +111,12 @@ def test_criterion_4_diamond_equivalence(capsys):
     assert len(formulas) == 578
 
     mismatches = 0
-    by_n = {}
-    for m in enumerate_models(params):
-        by_n.setdefault(len(m.worlds), []).append(m.packed)
     checked = 0
-    for n, packed in sorted(by_n.items()):
-        checked += len(packed)
+    for batch in enumerate_batches(params):
+        checked += len(batch)
         for f in formulas:
-            guarded = eval_packed_batch(packed, f, classical_diamond=False)
-            unguarded = eval_packed_batch(packed, f, classical_diamond=True)
+            guarded = eval_packed_batch(batch, f, classical_diamond=False)
+            unguarded = eval_packed_batch(batch, f, classical_diamond=True)
             mismatches += int((guarded != unguarded).sum())
     assert mismatches == 0
     report(capsys, 4, f"diamond equivalence on {checked} forward-confluent models", start)

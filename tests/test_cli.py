@@ -2,6 +2,9 @@ import pytest
 
 from ckkit import data_path
 from ckkit.cli import main
+from ckkit.formula import MAX_DEPTH
+
+from helpers_logic import NESTINGS, nested_text
 
 FIG2 = str(data_path("fig2.km"))
 NPROOF = str(data_path("n_in_ckb.proof"))
@@ -33,6 +36,21 @@ class TestParse:
         code, out, err = run(capsys, "parse", "(" * 400 + "p" + ")" * 400)
         assert code == 1
         assert out == ""
+        assert err.startswith("error: cannot parse formula: formula nested too deeply")
+
+    @pytest.mark.parametrize("how", NESTINGS)
+    def test_nesting_limit(self, capsys, how):
+        code, out, err = run(capsys, "parse", nested_text(how, MAX_DEPTH))
+        assert (code, err) == (0, "")
+        assert run(capsys, "parse", out) == (0, out, "")
+        code, out, err = run(capsys, "parse", nested_text(how, MAX_DEPTH + 1))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot parse formula: formula nested too deeply")
+
+    @pytest.mark.parametrize("command", ["parse", "find-countermodel"])
+    def test_long_chain(self, capsys, command):
+        code, out, err = run(capsys, command, " & ".join(["p"] * 3000))
+        assert (code, out) == (1, "")
         assert err.startswith("error: cannot parse formula: formula nested too deeply")
 
 

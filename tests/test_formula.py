@@ -9,6 +9,7 @@ from ckkit.formula import (
     FALSE,
     Falsum,
     Implies,
+    MAX_DEPTH,
     Or,
     ParseError,
     TRUE,
@@ -18,6 +19,8 @@ from ckkit.formula import (
     render,
     substitute,
 )
+
+from helpers_logic import NESTINGS, nested_text
 
 P = Atom("p")
 Q = Atom("q")
@@ -188,3 +191,25 @@ class TestEnumerate:
         got = enumerate_formulas(("p", "q"), 3, modal=False)
         assert all(analyze(f).modal_depth == 0 for f in got)
         assert len(got) == 3 + 27  # leaves, then 3 connectives over 3x3 leaf pairs
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("how", NESTINGS)
+    def test_at_limit_round_trips(self, how):
+        f = parse(nested_text(how, MAX_DEPTH))
+        assert parse(render(f)) == f
+
+    @pytest.mark.parametrize("how", NESTINGS)
+    def test_one_over_limit(self, how):
+        with pytest.raises(ParseError, match="formula nested too deeply"):
+            parse(nested_text(how, MAX_DEPTH + 1))
+
+    def test_redundant_parentheses_count(self):
+        parse("(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH)
+        with pytest.raises(ParseError, match="formula nested too deeply"):
+            parse("(" * (MAX_DEPTH + 1) + "p" + ")" * (MAX_DEPTH + 1))
+
+    @pytest.mark.parametrize("how", ["~", "&", "->", "~()"])
+    def test_far_over_limit(self, how):
+        with pytest.raises(ParseError, match="formula nested too deeply"):
+            parse(nested_text(how, 3000))

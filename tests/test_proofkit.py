@@ -1,7 +1,11 @@
+import gc
+import tracemalloc
+from functools import reduce
+
 import pytest
 
 from ckkit import data_path
-from ckkit.formula import Box, FALSE, enumerate_formulas, parse
+from ckkit.formula import And, Atom, Box, FALSE, Implies, enumerate_formulas, parse
 from ckkit.proofkit import (
     AxiomInst,
     MP,
@@ -61,6 +65,29 @@ class TestIpcValid:
         assert ipc_valid(parse("[] p -> [] p"))
         # different modal subformulas are different atoms
         assert not ipc_valid(parse("[] p -> [] (p & p)"))
+
+    def test_memory_does_not_grow_with_calls(self):
+        def de_bruijn(tag):
+            # three atoms in a cycle of equivalences; an IPC theorem
+            ps = [Atom(f"p{i}_{tag}") for i in range(3)]
+            c = reduce(And, ps)
+            iff = [And(Implies(a, b), Implies(b, a)) for a, b in zip(ps, ps[1:] + ps[:1])]
+            return Implies(reduce(And, [Implies(e, c) for e in iff]), c)
+
+        def held_after(calls):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                for k in range(calls):
+                    assert ipc_valid(de_bruijn(k))
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        few, many = held_after(10), held_after(40)
+        # a memo kept across calls holds ~17 kB per call here
+        assert many - few < 50_000
 
     def test_against_rooted_model_oracle(self):
         mismatches = []

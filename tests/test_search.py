@@ -1,7 +1,15 @@
 import pytest
 
 from ckkit.formula import parse
-from ckkit.kripke import frame_report
+from itertools import product
+
+from ckkit.kripke import (
+    PackedModel,
+    frame_report,
+    is_backward_confluent,
+    is_forward_confluent,
+    is_symmetric,
+)
 from ckkit.search import (
     ClassComparison,
     Counterexample,
@@ -10,13 +18,14 @@ from ckkit.search import (
     NoneFound,
     compare_classes,
     count_preorders,
+    enumerate_batches,
     enumerate_models,
     enumerate_packed,
     find_countermodel,
     preorders,
     sample_models,
 )
-from ckkit.semantics import valid_in_model
+from ckkit.semantics import ModelBatch, eval_packed, valid_in_model
 
 
 class TestParams:
@@ -25,7 +34,6 @@ class TestParams:
             EnumParams(max_worlds=6, props=("p",))
         with pytest.raises(EnumerationCapError):
             EnumParams(max_worlds=2, props=("p", "q", "r"))
-        EnumParams(max_worlds=6, props=("p",), cap_worlds=6)  # raised cap is fine
 
     def test_bad_class(self):
         with pytest.raises(ValueError):
@@ -79,15 +87,19 @@ class TestEnumeration:
 
     def test_count_matches_independent_product(self):
         # recount with plain set comprehension arithmetic per frame
-        from ckkit.search import _fallible_options, _upclosed_sets
+        def closed(rows, n):
+            return [
+                s for s in range(1 << n)
+                if all(rows[w] & s == rows[w] for w in range(n) if (s >> w) & 1)
+            ]
 
         total = 0
         for n in (1, 2):
             for up in preorders(n):
                 for rel_mask in range(1 << (n * n)):
                     rel = tuple((rel_mask >> (i * n)) & ((1 << n) - 1) for i in range(n))
-                    ucl = _upclosed_sets(up, n)
-                    for fal in _fallible_options(up, rel, n, True):
+                    ucl = closed(up, n)
+                    for fal in closed([u | r for u, r in zip(up, rel)], n):
                         total += sum(1 for s in ucl if s & fal == fal)
         got = list(enumerate_packed(EnumParams(max_worlds=2, props=("p",))))
         assert len(got) == total
@@ -111,14 +123,33 @@ class TestEnumeration:
         ]
         assert list(enumerate_packed(ckb_params)) == expected
 
-    def test_frame_predicate(self):
-        params = EnumParams(
-            max_worlds=2,
-            props=("p",),
-            frame_predicate=lambda m: not m.relation,
-        )
-        got = list(enumerate_models(params))
-        assert got and all(not m.relation for m in got)
+    @pytest.mark.parametrize("cls", ["CK", "CKB"])
+    @pytest.mark.parametrize("props", [(), ("p",), ("p", "q")])
+    def test_order_matches_nested_loops(self, cls, props):
+        # the documented order, written out as plain nested loops
+        def closed(rows, n):
+            return [
+                s for s in range(1 << n)
+                if all(rows[w] & s == rows[w] for w in range(n) if (s >> w) & 1)
+            ]
+
+        expected = []
+        for n in (1, 2):
+            for up in preorders(n):
+                for mask in range(1 << (n * n)):
+                    rel = tuple((mask >> (i * n)) & ((1 << n) - 1) for i in range(n))
+                    if cls == "CKB" and not (
+                        is_symmetric(rel)
+                        and is_forward_confluent(up, rel)
+                        and is_backward_confluent(up, rel)
+                    ):
+                        continue
+                    for fal in closed([u | r for u, r in zip(up, rel)], n):
+                        vsets = [s for s in closed(up, n) if s & fal == fal]
+                        for vals in product(vsets, repeat=len(props)):
+                            expected.append(PackedModel(n, up, rel, fal, props, vals))
+        params = EnumParams(max_worlds=2, props=props, class_filter=cls)
+        assert list(enumerate_packed(params)) == expected
 
     def test_deterministic_order(self):
         params = EnumParams(max_worlds=2, props=("p",))
@@ -127,6 +158,22 @@ class TestEnumeration:
     def test_world_counts_ascending(self):
         ns = [pm.n for pm in enumerate_packed(EnumParams(max_worlds=2, props=("p",)))]
         assert ns == sorted(ns)
+
+    def test_batches_hold_whole_frames_of_one_world_count(self):
+        params = EnumParams(max_worlds=3, props=("p",), class_filter="CKB")
+        batches = list(enumerate_batches(params))
+        assert len(batches) > 3
+        for b in batches:
+            # models() and ModelBatch.of are inverse
+            again = ModelBatch.of(list(b.models()))
+            for name in ("up", "rel", "fallible", "vals"):
+                assert (getattr(again, name) == getattr(b, name)).all()
+        for prev, b in zip(batches, batches[1:]):
+            assert prev.n <= b.n
+            if prev.n == b.n:
+                # a batch is cut only at a frame boundary
+                last = prev.up[-1].tolist(), prev.rel[-1].tolist()
+                assert (b.up[0].tolist(), b.rel[0].tolist()) != last
 
 
 class TestFindCountermodel:
@@ -163,6 +210,36 @@ class TestFindCountermodel:
     def test_excluded_middle_fails(self):
         verdict = find_countermodel(parse("p | ~p"), EnumParams(max_worlds=2, props=("p",)))
         assert isinstance(verdict, Counterexample)
+
+    @pytest.mark.parametrize("cls", ["CK", "CKB", "IK", "IKB"])
+    def test_matches_brute_force_first_failure(self, cls):
+        # first failing model and lowest failing world, one model at a time
+        def brute_force(f, params):
+            examined = 0
+            for pm in enumerate_packed(params):
+                failing = ((1 << pm.n) - 1) & ~eval_packed(pm, f)
+                if failing:
+                    world = (failing & -failing).bit_length() - 1
+                    return Counterexample(pm.to_model(), pm.world_names()[world])
+                examined += 1
+            return examined
+
+        params = EnumParams(max_worlds=3, props=("p",), class_filter=cls)
+        for text in (
+            "p -> [] <> p",
+            "<> p -> p",
+            # first CK countermodel lies in the second 3-world batch
+            "<> (<> false | [] p) -> <> <> false | <> [] p",
+            "[] (p -> p) -> [] p -> [] p",
+        ):
+            f = parse(text)
+            verdict = find_countermodel(f, params)
+            expected = brute_force(f, params)
+            if isinstance(expected, int):
+                assert isinstance(verdict, NoneFound), text
+                assert verdict.models_examined == expected, text
+            else:
+                assert verdict == expected, text
 
     def test_search_is_deterministic(self):
         f = parse("[] p -> p")

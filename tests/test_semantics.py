@@ -8,7 +8,7 @@ from ckkit.search import EnumParams, enumerate_models, sample_models
 from ckkit.semantics import (
     EvalContext,
     MAX_WORLDS,
-    _pack_arrays,
+    ModelBatch,
     compile_formula,
     eval_diamond_unguarded,
     eval_formula,
@@ -182,14 +182,15 @@ class TestKernelParity:
 
     def check(self, models):
         packed = [m.packed for m in models]
-        n = packed[0].n
-        assert all(pm.n == n for pm in packed)
-        arrays = _pack_arrays(packed)
-        out = np.empty(len(packed), dtype=np.uint64)
+        batch = ModelBatch.of(packed)
+        n = batch.n
+        out = np.empty(len(batch), dtype=np.uint64)
         for f in self.FORMULAS:
             for classical in (False, True):
                 prog = compile_formula(f, {"p": 0}, classical)
-                _kernel.eval_programs(prog.ops, prog.args, n, *arrays, out)
+                _kernel.eval_programs(
+                    prog.ops, prog.args, n, batch.up, batch.rel, batch.fallible, batch.vals, out
+                )
                 for m, pm, batch_mask in zip(models, packed, out):
                     single = _kernel.eval_model(
                         prog.ops, prog.args, n, pm.up, pm.rel, pm.fallible, pm.vals

@@ -72,9 +72,8 @@ def _formula_args(args) -> list:
     return out
 
 
-def _enum_params(args, props_default=("p",)) -> search.EnumParams:
-    props = tuple(args.props.split(",")) if args.props else tuple(props_default)
-    props = tuple(p for p in props if p)
+def _enum_params(args) -> search.EnumParams:
+    props = tuple(p for p in args.props.split(",") if p) if args.props else ("p",)
     try:
         return search.EnumParams(
             max_worlds=args.max_worlds,
@@ -95,7 +94,6 @@ def _add_model_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_search_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--class", dest="cls", choices=sorted(CLASS_BY_NAME), default="ck")
     p.add_argument("--max-worlds", type=int, default=3)
     p.add_argument("--props", default=None, help="comma-separated proposition names")
     p.add_argument("--require-symmetric", action="store_true")
@@ -125,6 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula", nargs="?", default=None)
     p.add_argument("--formula", dest="formula_opt", default=None)
     p.add_argument("--formulas-file", default=None)
+    p.add_argument("--class", dest="cls", choices=sorted(CLASS_BY_NAME), default="ck")
     _add_search_options(p)
 
     p = sub.add_parser("compare-classes", help="countermodel verdicts under two classes")
@@ -133,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formulas-file", default=None)
     p.add_argument("--class-a", dest="cls_a", choices=sorted(CLASS_BY_NAME), required=True)
     p.add_argument("--class-b", dest="cls_b", choices=sorted(CLASS_BY_NAME), required=True)
-    p.add_argument("--max-worlds", type=int, default=3)
-    p.add_argument("--props", default=None)
+    _add_search_options(p)
+    p.set_defaults(cls="ck")  # the base params' class; compare_classes replaces it
 
     p = sub.add_parser("check-proof", help="check a Hilbert proof script")
     p.add_argument("path")
@@ -201,13 +200,7 @@ def _cmd_find_countermodel(args) -> int:
 def _cmd_compare_classes(args) -> int:
     _merge_formula_opt(args)
     formulas = _formula_args(args)
-    try:
-        params = search.EnumParams(
-            max_worlds=args.max_worlds,
-            props=tuple(args.props.split(",")) if args.props else ("p",),
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    params = _enum_params(args)
     report = search.compare_classes(
         formulas, CLASS_BY_NAME[args.cls_a], CLASS_BY_NAME[args.cls_b], params
     )

@@ -163,7 +163,7 @@ class PackedModel:
 
 @dataclass(frozen=True)
 class KripkeModel:
-    """A validated model.  Immutable; all queries are pure."""
+    """A validated model.  Immutable and hashable; all queries are pure."""
 
     worlds: tuple[str, ...]
     fallible: frozenset[str]
@@ -171,15 +171,23 @@ class KripkeModel:
     relation: frozenset[tuple[str, str]]
     valuation: Mapping[str, frozenset[str]]
 
+    def __hash__(self) -> int:
+        valuation = frozenset(self.valuation.items())
+        return hash((self.worlds, self.fallible, self.order, self.relation, valuation))
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {w: i for i, w in enumerate(self.worlds)}
+
     def index(self, world: str) -> int:
         try:
-            return self.worlds.index(world)
-        except ValueError:
+            return self._index[world]
+        except KeyError:
             raise KeyError(f"unknown world {world!r}") from None
 
     @cached_property
     def packed(self) -> PackedModel:
-        idx = {w: i for i, w in enumerate(self.worlds)}
+        idx = self._index
         n = len(self.worlds)
         up = [0] * n
         rel = [0] * n

@@ -10,6 +10,12 @@ the fallible set, then the valuation, so searches are deterministic.
 ``enumerate_batches`` yields them as ``semantics.ModelBatch``es, the
 input of the batch kernel; ``enumerate_packed`` unpacks the same stream.
 
+Spaces of at most 3 worlds are enumerated once per process: the batches
+of each (n, sym, fwd, bwd, allow_fallible, number of props) are kept in
+``_batch_cache`` as read-only arrays, with the suspended generator of the
+rest, which a later scan resumes.  CKB with one prop takes ~150 KB, all
+four classes ~3.4 MB, all 144 keys 68 MB.  The cache is not thread-safe.
+
 The enumeration is doubly exponential; a hard cap (5 worlds, 2
 propositions) guards against runaway parameters.
 """
@@ -19,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from functools import cache
-from itertools import chain, islice, product
+from itertools import chain, count, islice, product
 from typing import Iterable, Iterator, Union
 
 import numpy as np
@@ -56,6 +62,7 @@ CLASSES = ("CK", "CKB", "IK", "IKB")
 CAP_WORLDS = 5
 CAP_PROPS = 2
 _CHUNK = 4096
+_CACHED_WORLDS = 3
 
 
 class EnumerationCapError(ValueError):
@@ -93,6 +100,8 @@ class EnumParams:
                 f"{len(self.props)} propositions exceed the cap of {CAP_PROPS}"
             )
         object.__setattr__(self, "props", tuple(self.props))
+        if "" in self.props or len(set(self.props)) < len(self.props):
+            raise ValueError(f"proposition names must be non-empty and distinct: {self.props}")
         if self.class_filter in ("IK", "IKB"):
             object.__setattr__(self, "allow_fallible", False)
 
@@ -148,66 +157,86 @@ def _rows_of(mask: int, n: int) -> tuple[int, ...]:
     return tuple((mask >> (i * n)) & full for i in range(n))
 
 
-_frame_cache: dict[tuple[int, bool, bool, bool], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+def _closed_sets(rows: tuple[int, ...] | list[int], n: int) -> list[int]:
+    """Sets s of worlds, ascending, with rows[w] inside s for every w in s."""
+    # reach[s] is the union of rows over s: that over s minus its lowest world, plus its row
+    reach = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        reach[s] = reach[s ^ low] | rows[low.bit_length() - 1]
+    return [s for s, r in enumerate(reach) if r & ~s == 0]
 
 
-def _iter_frames(
-    n: int, sym: bool, fwd: bool, bwd: bool
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(preorder rows, relation rows) pairs in enumeration order."""
-    key = (n, sym, fwd, bwd)
-    cached = _frame_cache.get(key)
-    if cached is not None:
-        yield from cached
-        return
-    collect = n <= 3
-    acc: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+def _pack(frames, counts, fal, vals, nprops: int) -> tuple[np.ndarray, ...]:
+    """Read-only arrays: frame up and rel rows, models per frame, fallible, vals."""
+    up, rel = (np.array(rows, dtype=np.uint64) for rows in zip(*frames))
+    vals = np.array(vals, dtype=np.uint64).reshape(len(fal), nprops)
+    arrays = up, rel, np.array(counts), np.array(fal, dtype=np.uint64), vals
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _frame_batches(
+    n: int, sym: bool, fwd: bool, bwd: bool, allow_fallible: bool, nprops: int
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """The n-world models in _pack form, in batches of whole frames cut at _CHUNK models."""
+    frames, counts, fal, vals = [], [], [], []
     for up in preorders(n):
+        ucl = _closed_sets(up, n)
         for mask in _rel_masks(n, sym):
             rel = _rows_of(mask, n)
             if fwd and not is_forward_confluent(up, rel):
                 continue
             if bwd and not is_backward_confluent(up, rel):
                 continue
-            if collect:
-                acc.append((up, rel))
-            yield up, rel
-    if collect:
-        _frame_cache[key] = acc
+            start = len(fal)
+            up_or_rel = [u | r for u, r in zip(up, rel)]
+            for fs in _closed_sets(up_or_rel, n) if allow_fallible else [0]:
+                vsets = [s for s in ucl if s & fs == fs]
+                fal += [fs] * len(vsets) ** nprops
+                vals += chain.from_iterable(product(vsets, repeat=nprops))
+            frames.append((up, rel))
+            counts.append(len(fal) - start)
+            if len(fal) >= _CHUNK:
+                yield _pack(frames, counts, fal, vals, nprops)
+                frames, counts, fal, vals = [], [], [], []
+    if fal:
+        yield _pack(frames, counts, fal, vals, nprops)
 
 
-def _closed_sets(rows: tuple[int, ...], n: int) -> list[int]:
-    """Sets s of worlds, ascending, with rows[w] inside s for every w in s."""
-    return [s for s in range(1 << n) if all(rows[w] & ~s == 0 for w in bits(s))]
+# (n, sym, fwd, bwd, allow_fallible, len(props)) -> (batches built so far, generator of the rest)
+_batch_cache: dict[tuple, tuple[list, Iterator]] = {}
 
 
-def _batch(n, props, frames, index, fal, vals) -> ModelBatch:
-    """Batch of models on frames[index[i]] with fal[i] and a row of vals."""
-    up, rel = (np.array(rows, dtype=np.uint64)[index] for rows in zip(*frames))
-    vals = np.array(vals, dtype=np.uint64).reshape(len(fal), len(props))
-    return ModelBatch(n, props, up, rel, np.array(fal, dtype=np.uint64), vals)
+def _cached_batches(key: tuple) -> Iterator[tuple[np.ndarray, ...]]:
+    """_frame_batches(*key), replaying what is built and keeping what is built next."""
+    entry = _batch_cache.get(key)
+    if entry is None:
+        entry = _batch_cache[key] = ([], _frame_batches(*key))
+    built, rest = entry
+    for i in count():
+        if i == len(built):
+            try:
+                built.append(next(rest))
+            except StopIteration:
+                if _batch_cache.get(key) is not entry:  # the generator raised under another reader
+                    raise RuntimeError("model enumeration was interrupted") from None
+                return
+            except BaseException:
+                _batch_cache.pop(key, None)  # never replay a truncated stream as complete
+                raise
+        yield built[i]
 
 
 def enumerate_batches(params: EnumParams) -> Iterator[ModelBatch]:
     """The model stream in batches of whole frames, cut at _CHUNK models or a new n."""
     sym, fwd, bwd = params.frame_constraints()
     for n in range(1, params.max_worlds + 1):
-        frames, index, fal, vals = [], [], [], []
-        for up, rel in _iter_frames(n, sym, fwd, bwd):
-            ucl = _closed_sets(up, n)
-            up_or_rel = [u | r for u, r in zip(up, rel)]
-            for fs in _closed_sets(up_or_rel, n) if params.allow_fallible else [0]:
-                vsets = [s for s in ucl if s & fs == fs]
-                count = len(vsets) ** len(params.props)
-                index += [len(frames)] * count
-                fal += [fs] * count
-                vals += chain.from_iterable(product(vsets, repeat=len(params.props)))
-            frames.append((up, rel))
-            if len(fal) >= _CHUNK:
-                yield _batch(n, params.props, frames, index, fal, vals)
-                frames, index, fal, vals = [], [], [], []
-        if fal:
-            yield _batch(n, params.props, frames, index, fal, vals)
+        key = (n, sym, fwd, bwd, params.allow_fallible, len(params.props))
+        batches = _cached_batches(key) if n <= _CACHED_WORLDS else _frame_batches(*key)
+        for up, rel, counts, fal, vals in batches:
+            yield ModelBatch(n, params.props, up.repeat(counts, 0), rel.repeat(counts, 0), fal, vals)
 
 
 def enumerate_packed(params: EnumParams) -> Iterator[PackedModel]:

@@ -175,6 +175,11 @@ class TestFindCountermodel:
         )
         assert code == 1 and "cap" in err
 
+    def test_duplicate_props(self, capsys):
+        code, out, err = run(capsys, "find-countermodel", "p -> p", "--props", "p,p")
+        assert (code, out) == (1, "")
+        assert "distinct" in err
+
     def test_emitted_model_is_loadable(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "find-countermodel", "p -> [] <> p", "--max-worlds", "3"
@@ -221,6 +226,30 @@ class TestCompareClasses:
         )
         assert (code, out) == (1, "")
         assert "not both" in err
+
+    def test_props_like_find_countermodel(self, capsys):
+        # empty names are dropped, duplicates rejected
+        code, out, _ = run(
+            capsys, "compare-classes", "p -> p", "--props", "p,",
+            "--class-a", "ckb", "--class-b", "ikb", "--max-worlds", "2",
+        )
+        assert (code, out.splitlines()[-1]) == (0, "mismatches: 0")
+        code, out, err = run(
+            capsys, "compare-classes", "p -> p", "--props", "p,p",
+            "--class-a", "ckb", "--class-b", "ikb",
+        )
+        assert (code, out) == (1, "")
+        assert "distinct" in err
+
+    def test_require_flags(self, capsys):
+        # on symmetric frames CK has no countermodel to <> false -> false either
+        # (see test_mismatch_report for the unrestricted CK verdict)
+        code, out, _ = run(
+            capsys, "compare-classes", "<> false -> false", "--require-symmetric",
+            "--class-a", "ck", "--class-b", "ckb", "--max-worlds", "2",
+        )
+        assert code == 0
+        assert out.splitlines() == ["<> false -> false | NONE vs NONE | agree", "mismatches: 0"]
 
 
 class TestCheckProof:

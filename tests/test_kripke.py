@@ -283,3 +283,15 @@ class TestPacked:
     def test_index_unknown_world(self):
         with pytest.raises(KeyError):
             figure2_model().index("nope")
+
+    def test_index(self):
+        m = figure2_model()
+        assert [m.index(w) for w in m.worlds] == list(range(len(m.worlds)))
+
+    def test_hash_consistent_with_eq(self):
+        a, b = figure2_model(), figure2_model().packed.to_model()
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        other = validate_model(simple_desc())
+        assert len({a, other}) == 2

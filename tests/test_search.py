@@ -1,7 +1,12 @@
+import gc
+import random
+import tracemalloc
+from itertools import islice, product
+
 import pytest
 
+from ckkit import search
 from ckkit.formula import parse
-from itertools import product
 
 from ckkit.kripke import (
     PackedModel,
@@ -34,6 +39,11 @@ class TestParams:
             EnumParams(max_worlds=6, props=("p",))
         with pytest.raises(EnumerationCapError):
             EnumParams(max_worlds=2, props=("p", "q", "r"))
+
+    @pytest.mark.parametrize("props", [("p", "p"), ("",), ("p", "")])
+    def test_prop_names_distinct_and_non_empty(self, props):
+        with pytest.raises(ValueError, match="distinct"):
+            EnumParams(max_worlds=2, props=props)
 
     def test_bad_class(self):
         with pytest.raises(ValueError):
@@ -174,6 +184,124 @@ class TestEnumeration:
                 # a batch is cut only at a frame boundary
                 last = prev.up[-1].tolist(), prev.rel[-1].tolist()
                 assert (b.up[0].tolist(), b.rel[0].tolist()) != last
+
+
+def _closed_by_definition(rows, n):
+    return [s for s in range(1 << n) if all(rows[w] & ~s == 0 for w in range(n) if (s >> w) & 1)]
+
+
+class TestClosedSets:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_row_tuple(self, n):
+        for rows in product(range(1 << n), repeat=n):
+            assert search._closed_sets(rows, n) == _closed_by_definition(rows, n)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_sampled_row_tuples(self, n):
+        rng = random.Random(n)
+        for _ in range(300):
+            rows = tuple(rng.randrange(1 << n) for _ in range(n))
+            assert search._closed_sets(rows, n) == _closed_by_definition(rows, n)
+
+
+def _stream(params, batches=None):
+    """(n, props, up, rel, fallible, vals) per batch, as lists."""
+    return [
+        (b.n, b.props, b.up.tolist(), b.rel.tolist(), b.fallible.tolist(), b.vals.tolist())
+        for b in islice(enumerate_batches(params), batches)
+    ]
+
+
+class TestBatchCache:
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        search._batch_cache.clear()
+        yield
+        search._batch_cache.clear()
+
+    def test_replay_relabels_props(self):
+        fresh_q = _stream(EnumParams(max_worlds=3, props=("q",), class_filter="CKB"))
+        search._batch_cache.clear()
+        fresh_p = _stream(EnumParams(max_worlds=3, props=("p",), class_filter="CKB"))
+        replay_q = _stream(EnumParams(max_worlds=3, props=("q",), class_filter="CKB"))
+        assert replay_q == fresh_q
+        assert [b[2:] for b in fresh_p] == [b[2:] for b in fresh_q]
+        assert {b[1] for b in fresh_p} == {("p",)}
+
+    def test_resume_after_early_exit(self):
+        params = EnumParams(max_worlds=3, class_filter="CK")
+        fresh = _stream(params)
+        n3 = [i for i, b in enumerate(fresh) if b[0] == 3]
+        assert len(n3) > 3
+        search._batch_cache.clear()
+        stop = n3[0] + 2  # two batches into the 3-world models
+        assert _stream(params, stop) == fresh[:stop]
+        assert _stream(params) == fresh
+        assert _stream(params) == fresh
+
+    def test_cached_arrays_are_read_only(self):
+        params = EnumParams(max_worlds=2, props=("p",), class_filter="CKB")
+        list(enumerate_batches(params))
+        for b in enumerate_batches(params):
+            with pytest.raises(ValueError, match="read-only"):
+                b.fallible[0] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                b.vals[0, 0] = 1
+
+    @pytest.fixture
+    def failing_generator(self, monkeypatch):
+        """_frame_batches that raises after its first batch, the first time only."""
+        real = search._frame_batches
+        calls = []
+
+        def generator(*key):
+            calls.append(key)
+            stream = real(*key)
+            if len(calls) == 1:
+                yield next(stream)
+                raise MemoryError("generator failed")
+            yield from stream
+
+        monkeypatch.setattr(search, "_frame_batches", generator)
+        return calls
+
+    def test_failed_generator_leaves_no_entry(self, failing_generator):
+        params = EnumParams(max_worlds=1, props=("p",))
+        with pytest.raises(MemoryError):
+            list(enumerate_batches(params))
+        assert search._batch_cache == {}
+        assert find_countermodel(parse("p -> p"), params).models_examined == 6
+        assert len(failing_generator) == 2
+
+    def test_failed_generator_under_another_reader(self, failing_generator):
+        # two interleaved scans share one generator; when it fails under one,
+        # the other must not take the end of the stream for a complete scan
+        params = EnumParams(max_worlds=1, props=("p",))
+        first, second = enumerate_batches(params), enumerate_batches(params)
+        next(first)
+        next(second)
+        with pytest.raises(MemoryError):
+            next(first)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            next(second)
+        assert len(list(enumerate_packed(params))) == 6
+
+    def test_repeated_scans_hold_no_more_memory(self):
+        params = EnumParams(max_worlds=3, props=("p",), class_filter="CKB")
+        f = parse("p -> p")
+        tracemalloc.start()
+        try:
+            find_countermodel(f, params)
+            gc.collect()  # compile_formula leaves reference cycles behind
+            after_first = tracemalloc.get_traced_memory()[0]
+            for _ in range(20):
+                find_countermodel(f, params)
+            gc.collect()
+            after_all = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # a few bytes of interpreter noise; the cached CKB batches take ~150 KB
+        assert after_all <= after_first + 4096
 
 
 class TestFindCountermodel:

@@ -9,6 +9,14 @@ world w forces the formula.  Two evaluators run the same opcodes:
   * ``eval_model``, over one model's Python ints, where building arrays
     would cost more than the evaluation itself.
 
+Every modal opcode asks, for a relation given by its successor rows and
+a set s of worlds, for the mask of worlds w with rows[w] & s == 0.  On
+one frame that depends on s alone, so the batch kernel reads it from the
+frame's avoid table (``avoid_tables``), 2**n masks indexed by s: one
+gather per opcode across all models.  The tables grow as 2**n, so
+batches have at most ``MAX_BATCH_WORLDS`` worlds (2 KB per frame and
+relation); the one-model path keeps ``semantics.MAX_WORLDS``.
+
 Opcodes (args is the atom's prop index for OP_ATOM, -1 for a proposition
 missing from the model's valuation, unused otherwise):
 
@@ -34,13 +42,17 @@ OP_BOX = 5
 OP_DIA = 6
 OP_DIAC = 7
 
+MAX_BATCH_WORLDS = 8
+
 
 def _run(ops, args, full, fallible, vals, up, rel, avoid):
     """The opcode semantics, on Python ints and uint64 arrays alike.
 
     vals[a] is the extension of prop a, and avoid(rows, s) the mask of
-    worlds w with rows[w] & s == 0.  The masks are combined only with
-    &, | and ^, which act the same on both kinds of operand.
+    worlds w with rows[w] & s == 0, where rows stands for up or rel:
+    successor rows for eval_model, avoid tables for eval_programs.  The
+    masks are combined only with &, | and ^, which act the same on both
+    kinds of operand.
     """
     stack = []
     push = stack.append
@@ -70,21 +82,39 @@ def _run(ops, args, full, fallible, vals, up, rel, avoid):
     return stack[-1]
 
 
-def eval_programs(ops, args, n, up, rel, fallible, vals, out):
+def avoid_tables(rows, n: int):
+    """Avoid tables of frames given by their successor rows, (frames, n) uint64.
+
+    Returns a (frames << n,) uint64 array whose entry (f << n) | s is the
+    mask of worlds w with rows[f, w] & s == 0.
+    """
+    if n > MAX_BATCH_WORLDS:
+        raise ValueError(f"at most {MAX_BATCH_WORLDS} worlds supported in a batch")
+    weights = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    # lacks[f, v]: the worlds whose row in frame f lacks world v
+    lacks = weights @ ((rows[:, :, None] & weights) == 0)
+    # table[s | 1 << v] = table[s] & lacks[v] for every s below 1 << v
+    table = np.full((len(rows), 1), (1 << n) - 1, dtype=np.uint64)
+    for v in range(n):
+        table = np.concatenate([table, table & lacks[:, v : v + 1]], axis=1)
+    return table.reshape(-1)
+
+
+def eval_programs(ops, args, n, up, rel, fallible, vals, out, frame):
     """Run the program over every model; out[i] gets the truth mask of model i.
 
-    up and rel are (models, n) arrays of successor rows, fallible is
-    (models,) and vals (models, props), all uint64.
+    up and rel are the frames' avoid tables (see avoid_tables), frame
+    (models,) is each model's frame index, fallible (models,) and vals
+    (models, props) are uint64 masks.
     """
-    weights = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    # base is uint64 like the masks, since numpy 1 and 2 alike promote
+    # int64 | uint64 to float64; base | s is then read as int64 indices
+    base = frame.astype(np.uint64) << np.uint64(n)
 
-    def avoid(rows_t, s):
-        return weights @ ((rows_t & s) == 0)
+    def avoid(table, s):
+        return table.take((base | s).view(np.int64))
 
-    out[:] = _run(
-        ops, args, np.uint64((1 << n) - 1), fallible, vals.T,
-        np.ascontiguousarray(up.T), np.ascontiguousarray(rel.T), avoid,
-    )
+    out[:] = _run(ops, args, np.uint64((1 << n) - 1), fallible, vals.T, up, rel, avoid)
 
 
 def eval_model(ops, args, n, up, rel, fallible, vals) -> int:

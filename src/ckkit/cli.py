@@ -3,13 +3,15 @@
 Subcommands: parse, check-model, eval, classify, find-countermodel,
 compare-classes, check-proof, axioms list, export-dot.
 
-Exit codes: 0 success, 1 usage/IO/validation error, 2 reserved by
-find-countermodel for "counterexample found".
+Exit codes: 0 success, 1 usage/IO/validation error or output closed
+early by its reader, 2 reserved by find-countermodel for "counterexample
+found".
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import axioms as axioms_mod
@@ -255,7 +257,7 @@ _COMMANDS = {
 _PARSER = build_parser()
 
 
-def main(argv: list[str] | None = None) -> int:
+def _main(argv: list[str] | None) -> int:
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
@@ -265,6 +267,18 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed our output early.  Point stdout at /dev/null so
+        # that the interpreter's final flush does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 __all__ = [
@@ -163,13 +164,23 @@ class PackedModel:
 
 @dataclass(frozen=True)
 class KripkeModel:
-    """A validated model.  Immutable and hashable; all queries are pure."""
+    """A validated model.  Immutable and hashable; all queries are pure.
+
+    The valuation is kept as a read-only mapping over a private copy.
+    """
 
     worlds: tuple[str, ...]
     fallible: frozenset[str]
     order: frozenset[tuple[str, str]]
     relation: frozenset[tuple[str, str]]
     valuation: Mapping[str, frozenset[str]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "valuation", MappingProxyType(dict(self.valuation)))
+
+    def __reduce__(self):
+        # a mapping proxy does not pickle; rebuild from a copy of its dict
+        return KripkeModel, (self.worlds, self.fallible, self.order, self.relation, dict(self.valuation))
 
     def __hash__(self) -> int:
         valuation = frozenset(self.valuation.items())

@@ -12,9 +12,10 @@ input of the batch kernel; ``enumerate_packed`` unpacks the same stream.
 
 Spaces of at most 3 worlds are enumerated once per process: the batches
 of each (n, sym, fwd, bwd, allow_fallible, number of props) are kept in
-``_batch_cache`` as read-only arrays, with the suspended generator of the
-rest, which a later scan resumes.  CKB with one prop takes ~150 KB, all
-four classes ~3.4 MB, all 144 keys 68 MB.  The cache is not thread-safe.
+``_batch_cache`` as read-only arrays (with the frames' avoid tables),
+with the suspended generator of the rest, which a later scan resumes.
+CKB with one prop takes ~300 KB, all four classes ~7 MB, all 144 keys
+116 MB.  The cache is not thread-safe.
 
 The enumeration is doubly exponential; a hard cap (5 worlds, 2
 propositions) guards against runaway parameters.
@@ -25,11 +26,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from functools import cache
-from itertools import chain, count, islice, product
+from itertools import chain, count, product
 from typing import Iterable, Iterator, Union
 
 import numpy as np
 
+from ._kernel import avoid_tables
 from .formula import Formula, render
 from .kripke import (
     KripkeModel,
@@ -167,11 +169,13 @@ def _closed_sets(rows: tuple[int, ...] | list[int], n: int) -> list[int]:
     return [s for s, r in enumerate(reach) if r & ~s == 0]
 
 
-def _pack(frames, counts, fal, vals, nprops: int) -> tuple[np.ndarray, ...]:
-    """Read-only arrays: frame up and rel rows, models per frame, fallible, vals."""
+def _pack(frames, counts, fal, vals, n: int, nprops: int) -> tuple[np.ndarray, ...]:
+    """Read-only ModelBatch arrays after n and props."""
     up, rel = (np.array(rows, dtype=np.uint64) for rows in zip(*frames))
     vals = np.array(vals, dtype=np.uint64).reshape(len(fal), nprops)
-    arrays = up, rel, np.array(counts), np.array(fal, dtype=np.uint64), vals
+    frame = np.arange(len(counts)).repeat(counts)
+    fal = np.array(fal, dtype=np.uint64)
+    arrays = up, rel, avoid_tables(up, n), avoid_tables(rel, n), frame, fal, vals
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -199,10 +203,10 @@ def _frame_batches(
             frames.append((up, rel))
             counts.append(len(fal) - start)
             if len(fal) >= _CHUNK:
-                yield _pack(frames, counts, fal, vals, nprops)
+                yield _pack(frames, counts, fal, vals, n, nprops)
                 frames, counts, fal, vals = [], [], [], []
     if fal:
-        yield _pack(frames, counts, fal, vals, nprops)
+        yield _pack(frames, counts, fal, vals, n, nprops)
 
 
 # (n, sym, fwd, bwd, allow_fallible, len(props)) -> (batches built so far, generator of the rest)
@@ -235,8 +239,8 @@ def enumerate_batches(params: EnumParams) -> Iterator[ModelBatch]:
     for n in range(1, params.max_worlds + 1):
         key = (n, sym, fwd, bwd, params.allow_fallible, len(params.props))
         batches = _cached_batches(key) if n <= _CACHED_WORLDS else _frame_batches(*key)
-        for up, rel, counts, fal, vals in batches:
-            yield ModelBatch(n, params.props, up.repeat(counts, 0), rel.repeat(counts, 0), fal, vals)
+        for arrays in batches:
+            yield ModelBatch(n, params.props, *arrays)
 
 
 def enumerate_packed(params: EnumParams) -> Iterator[PackedModel]:
@@ -279,7 +283,7 @@ def find_countermodel(f: Formula, params: EnumParams) -> SearchVerdict:
         hits = np.flatnonzero(masks != np.uint64(full))
         if hits.size:
             k = int(hits[0])
-            pm = next(islice(batch.models(), k, None))
+            pm = batch.model(k)
             world_index = next(bits(full & ~int(masks[k])))
             return Counterexample(model=pm.to_model(), world=pm.world_names()[world_index])
         examined += len(batch)

@@ -24,6 +24,13 @@ at once as bitmasks, by one of the two evaluators in ckkit._kernel:
     ``truth_mask``, ``eval_formula``, ``valid_in_model``,
     ``eval_diamond_unguarded``) evaluates one model's Python ints with
     ``eval_model``.
+
+A ``ModelBatch`` holds each frame's rows and avoid tables once, with a
+frame index per model; ``ModelBatch.of`` makes one frame of each run of
+consecutive models on equal rows.  Batches have at most
+``_kernel.MAX_BATCH_WORLDS`` (8) worlds, single models ``MAX_WORLDS``
+(63).  ``compile_formula`` walks the formula with an explicit stack, so
+formulas built in code compile and evaluate at any depth.
 """
 
 from __future__ import annotations
@@ -34,7 +41,17 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from . import _kernel
-from ._kernel import OP_AND, OP_ATOM, OP_BOX, OP_DIA, OP_DIAC, OP_FALSUM, OP_IMP, OP_OR
+from ._kernel import (
+    OP_AND,
+    OP_ATOM,
+    OP_BOX,
+    OP_DIA,
+    OP_DIAC,
+    OP_FALSUM,
+    OP_IMP,
+    OP_OR,
+    avoid_tables,
+)
 from .formula import And, Atom, Box, Diamond, Falsum, Formula, Implies, Or
 from .kripke import KripkeModel, PackedModel
 
@@ -66,61 +83,57 @@ def compile_formula(
     """Postfix-compile f; atoms missing from prop_index read the fallible mask."""
     ops: list[int] = []
     args: list[int] = []
-
-    def emit(op: int, arg: int = 0) -> None:
-        ops.append(op)
-        args.append(arg)
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, Atom):
-            emit(OP_ATOM, prop_index.get(g.name, -1))
+    # formulas still to compile, and the opcodes to emit once their operands are
+    todo: list[Formula | int] = [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, int):
+            ops.append(g)
+            args.append(0)
+        elif isinstance(g, Atom):
+            ops.append(OP_ATOM)
+            args.append(prop_index.get(g.name, -1))
         elif isinstance(g, Falsum):
-            emit(OP_FALSUM)
+            ops.append(OP_FALSUM)
+            args.append(0)
         elif isinstance(g, And):
-            walk(g.left)
-            walk(g.right)
-            emit(OP_AND)
+            todo += (OP_AND, g.right, g.left)
         elif isinstance(g, Or):
-            walk(g.left)
-            walk(g.right)
-            emit(OP_OR)
+            todo += (OP_OR, g.right, g.left)
         elif isinstance(g, Implies):
-            walk(g.left)
-            walk(g.right)
-            emit(OP_IMP)
+            todo += (OP_IMP, g.right, g.left)
         elif isinstance(g, Box):
-            walk(g.inner)
-            emit(OP_BOX)
+            todo += (OP_BOX, g.inner)
         elif isinstance(g, Diamond):
-            walk(g.inner)
-            emit(OP_DIAC if classical_diamond else OP_DIA)
+            todo += (OP_DIAC if classical_diamond else OP_DIA, g.inner)
         else:
             raise TypeError(f"not a formula: {g!r}")
-
-    walk(f)
     return Program(ops=tuple(ops), args=tuple(args))
-
-
-def _check_worlds(n: int) -> None:
-    if n > MAX_WORLDS:
-        raise ValueError(f"at most {MAX_WORLDS} worlds supported")
 
 
 @dataclass(frozen=True, eq=False)
 class ModelBatch:
-    """Models of one world count and prop list, as the uint64 arrays up and
-    rel (models, n), fallible (models,) and vals (models, props)."""
+    """Models of one world count and prop list, grouped by frame.
+
+    up and rel (frames, n) are the frames' successor rows, up_avoid and
+    rel_avoid their avoid tables (``_kernel.avoid_tables``), frame
+    (models,) each model's frame index, and fallible (models,) and vals
+    (models, props) its masks; all uint64 but frame.
+    """
 
     n: int
     props: tuple[str, ...]
     up: np.ndarray
     rel: np.ndarray
+    up_avoid: np.ndarray
+    rel_avoid: np.ndarray
+    frame: np.ndarray
     fallible: np.ndarray
     vals: np.ndarray
 
     @classmethod
     def of(cls, models: Sequence[PackedModel]) -> ModelBatch:
-        """Batch of a non-empty list of packed models."""
+        """Batch of a non-empty list of packed models of at most _kernel.MAX_BATCH_WORLDS worlds."""
         n, props = models[0].n, models[0].props
         if any(pm.n != n or pm.props != props for pm in models):
             raise ValueError("batch models must share world count and proposition list")
@@ -131,22 +144,32 @@ class ModelBatch:
 
     def models(self) -> Iterator[PackedModel]:
         """The batch's models in order; models on one frame share its row tuples."""
-        rows = zip(self.up.tolist(), self.rel.tolist(), self.fallible.tolist(), self.vals.tolist())
-        last = None
-        for up_row, rel_row, fal, vals in rows:
-            if (up_row, rel_row) != last:
-                last = up_row, rel_row
-                up, rel = tuple(up_row), tuple(rel_row)
+        frames = [(tuple(u), tuple(r)) for u, r in zip(self.up.tolist(), self.rel.tolist())]
+        for f, fal, vals in zip(self.frame.tolist(), self.fallible.tolist(), self.vals.tolist()):
+            up, rel = frames[f]
             yield PackedModel(self.n, up, rel, fal, self.props, tuple(vals))
+
+    def model(self, k: int) -> PackedModel:
+        """The k-th model of the batch."""
+        f = self.frame[k]
+        return PackedModel(
+            self.n, tuple(self.up[f].tolist()), tuple(self.rel[f].tolist()),
+            int(self.fallible[k]), self.props, tuple(self.vals[k].tolist()),
+        )
 
 
 def _pack_arrays(models: Sequence[PackedModel]):
-    """uint64 arrays up, rel (models, n), fallible (models,), vals (models, props)."""
-    up = np.array([pm.up for pm in models], dtype=np.uint64)
-    rel = np.array([pm.rel for pm in models], dtype=np.uint64)
+    """ModelBatch arrays after n and props, one frame per run of models on equal rows."""
+    frames, frame = [], []
+    for pm in models:
+        if not frames or frames[-1] != (pm.up, pm.rel):
+            frames.append((pm.up, pm.rel))
+        frame.append(len(frames) - 1)
+    n = models[0].n
+    up, rel = (np.array(rows, dtype=np.uint64) for rows in zip(*frames))
     fal = np.array([pm.fallible for pm in models], dtype=np.uint64)
     vals = np.array([pm.vals for pm in models], dtype=np.uint64)
-    return up, rel, fal, vals
+    return up, rel, avoid_tables(up, n), avoid_tables(rel, n), np.array(frame), fal, vals
 
 
 def eval_packed_batch(
@@ -157,18 +180,19 @@ def eval_packed_batch(
         if not models:
             return np.empty(0, dtype=np.uint64)
         models = ModelBatch.of(models)
-    _check_worlds(models.n)
     prog = compile_formula(f, {p: k for k, p in enumerate(models.props)}, classical_diamond)
     out = np.empty(len(models), dtype=np.uint64)
     _kernel.eval_programs(
-        prog.ops, prog.args, models.n, models.up, models.rel, models.fallible, models.vals, out
+        prog.ops, prog.args, models.n, models.up_avoid, models.rel_avoid,
+        models.fallible, models.vals, out, models.frame,
     )
     return out
 
 
 def eval_packed(pm: PackedModel, f: Formula, classical_diamond: bool = False) -> int:
     """Truth mask of f over a single packed model."""
-    _check_worlds(pm.n)
+    if pm.n > MAX_WORLDS:
+        raise ValueError(f"at most {MAX_WORLDS} worlds supported")
     prog = compile_formula(f, {p: k for k, p in enumerate(pm.props)}, classical_diamond)
     return _kernel.eval_model(prog.ops, prog.args, pm.n, pm.up, pm.rel, pm.fallible, pm.vals)
 

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import ckkit
 from ckkit import data_path
 from ckkit.cli import main
 from ckkit.formula import MAX_DEPTH
@@ -300,3 +305,22 @@ class TestUsage:
 
     def test_no_command(self, capsys):
         assert run(capsys)[0] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("find-countermodel", "[]p -> p", "--class", "ck"),
+        ("compare-classes", "p -> p", "--class-a", "ck", "--class-b", "ckb"),
+    ])
+    def test_output_closed_early(self, argv):
+        src = os.path.dirname(os.path.dirname(ckkit.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ckkit.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()  # before the program has written anything
+        try:
+            err = proc.communicate(timeout=60)[1].decode()
+        finally:
+            proc.kill()
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
+        assert proc.returncode == 1

@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from ckkit.kripke import (
@@ -295,3 +298,19 @@ class TestPacked:
         assert len({a, b}) == 1
         other = validate_model(simple_desc())
         assert len({a, other}) == 2
+
+    def test_valuation_is_read_only(self):
+        given = {"p": frozenset({"w"})}
+        m = replace(figure2_model(), valuation=given)
+        given["p"] = frozenset()  # the model keeps its own copy
+        assert m == figure2_model() and hash(m) == hash(figure2_model())
+        with pytest.raises(TypeError):
+            m.valuation["p"] = frozenset()
+        with pytest.raises(TypeError):
+            del m.valuation["p"]
+
+    def test_pickle_round_trip(self):
+        m = figure2_model()
+        again = pickle.loads(pickle.dumps(m))
+        assert again == m and hash(again) == hash(m)
+        assert again.packed == m.packed

@@ -1,4 +1,3 @@
-import gc
 import random
 import tracemalloc
 from itertools import islice, product
@@ -175,9 +174,11 @@ class TestEnumeration:
         assert len(batches) > 3
         for b in batches:
             # models() and ModelBatch.of are inverse
-            again = ModelBatch.of(list(b.models()))
-            for name in ("up", "rel", "fallible", "vals"):
+            models = list(b.models())
+            again = ModelBatch.of(models)
+            for name in ("up", "rel", "up_avoid", "rel_avoid", "frame", "fallible", "vals"):
                 assert (getattr(again, name) == getattr(b, name)).all()
+            assert [b.model(k) for k in range(len(b))] == models
         for prev, b in zip(batches, batches[1:]):
             assert prev.n <= b.n
             if prev.n == b.n:
@@ -205,9 +206,9 @@ class TestClosedSets:
 
 
 def _stream(params, batches=None):
-    """(n, props, up, rel, fallible, vals) per batch, as lists."""
+    """(n, props, up, rel, frame, fallible, vals) per batch, as lists."""
     return [
-        (b.n, b.props, b.up.tolist(), b.rel.tolist(), b.fallible.tolist(), b.vals.tolist())
+        (b.n, b.props) + tuple(a.tolist() for a in (b.up, b.rel, b.frame, b.fallible, b.vals))
         for b in islice(enumerate_batches(params), batches)
     ]
 
@@ -243,10 +244,9 @@ class TestBatchCache:
         params = EnumParams(max_worlds=2, props=("p",), class_filter="CKB")
         list(enumerate_batches(params))
         for b in enumerate_batches(params):
-            with pytest.raises(ValueError, match="read-only"):
-                b.fallible[0] = 1
-            with pytest.raises(ValueError, match="read-only"):
-                b.vals[0, 0] = 1
+            for a in (b.up, b.rel, b.up_avoid, b.rel_avoid, b.frame, b.fallible, b.vals):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 1
 
     @pytest.fixture
     def failing_generator(self, monkeypatch):
@@ -292,11 +292,9 @@ class TestBatchCache:
         tracemalloc.start()
         try:
             find_countermodel(f, params)
-            gc.collect()  # compile_formula leaves reference cycles behind
             after_first = tracemalloc.get_traced_memory()[0]
             for _ in range(20):
                 find_countermodel(f, params)
-            gc.collect()
             after_all = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()

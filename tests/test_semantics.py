@@ -1,10 +1,14 @@
+import gc
+import random
+from itertools import product
+
 import numpy as np
 import pytest
 
 from ckkit import _kernel
-from ckkit.formula import And, enumerate_formulas, parse
+from ckkit.formula import And, Atom, enumerate_formulas, parse
 from ckkit.kripke import ModelDescription, figure2_model, frame_report, validate_model
-from ckkit.search import EnumParams, enumerate_models, sample_models
+from ckkit.search import EnumParams, enumerate_models, enumerate_packed, sample_models
 from ckkit.semantics import (
     EvalContext,
     MAX_WORLDS,
@@ -164,6 +168,31 @@ class TestBatch:
         with pytest.raises(ValueError):
             eval_packed(pm, parse("false"))
 
+    def test_batch_world_cap(self):
+        from ckkit.kripke import PackedModel
+
+        n = _kernel.MAX_BATCH_WORLDS + 1
+        pm = PackedModel(
+            n=n, up=tuple(1 << i for i in range(n)), rel=(0,) * n,
+            fallible=0, props=(), vals=(),
+        )
+        assert eval_packed(pm, parse("false")) == 0
+        with pytest.raises(ValueError, match="at most"):
+            eval_packed_batch([pm], parse("false"))
+
+    def test_equal_frames_not_consecutive(self):
+        params = EnumParams(max_worlds=2, props=("p",))
+        models = [pm for pm in enumerate_packed(params) if pm.n == 2]
+        frames = list(dict.fromkeys((pm.up, pm.rel) for pm in models))
+        first, second = ([pm for pm in models if (pm.up, pm.rel) == fr] for fr in frames[:2])
+        # frames a, b, a, b: four runs, each with its own table
+        mixed = first + second + first + second
+        batch = ModelBatch.of(mixed)
+        assert batch.frame.tolist() == [k for k, run in enumerate((first, second) * 2) for _ in run]
+        assert list(batch.models()) == mixed
+        for f in (parse("p -> [] <> p"), parse("<> p | [] ~p")):
+            assert eval_packed_batch(mixed, f).tolist() == [eval_packed(pm, f) for pm in mixed]
+
     def test_deep_formula(self):
         # 80 nested conjunctions leave 81 masks on the evaluation stack
         f = parse("p")
@@ -174,6 +203,56 @@ class TestBatch:
         assert eval_formula(m, "v", f) is False
         assert int(eval_packed_batch([m.packed], f)[0]) == truth_mask(m, parse("p"))
 
+    @pytest.mark.parametrize("nesting", ["left", "right"])
+    def test_formula_built_in_code_10000_deep(self, nesting):
+        f = Atom("p")
+        for _ in range(10_000):
+            f = And(f, Atom("p")) if nesting == "left" else And(Atom("p"), f)
+        m = figure2_model()
+        expected = truth_mask(m, parse("p"))
+        assert len(compile_formula(f, {"p": 0}).ops) == 20_001
+        assert eval_packed(m.packed, f) == expected
+        assert eval_packed_batch([m.packed], f).tolist() == [expected]
+
+
+class TestCompile:
+    def test_leaves_no_reference_cycles(self):
+        f = parse("(p -> [] <> p) | ~(q & <> false)")
+        gc.collect()
+        gc.disable()
+        try:
+            compile_formula(f, {"p": 0, "q": 1})
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def _avoid_by_definition(rows, n):
+    return [sum(1 << w for w in range(n) if rows[w] & s == 0) for s in range(1 << n)]
+
+
+class TestAvoidTables:
+    def tables(self, row_tuples, n):
+        got = _kernel.avoid_tables(np.array(row_tuples, dtype=np.uint64), n)
+        return got.reshape(len(row_tuples), 1 << n).tolist()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_row_tuple(self, n):
+        row_tuples = list(product(range(1 << n), repeat=n))
+        assert self.tables(row_tuples, n) == [_avoid_by_definition(r, n) for r in row_tuples]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_sampled_row_tuples(self, n):
+        rng = random.Random(n)
+        row_tuples = [tuple(rng.randrange(1 << n) for _ in range(n)) for _ in range(300)]
+        assert self.tables(row_tuples, n) == [_avoid_by_definition(r, n) for r in row_tuples]
+
+    def test_world_cap(self):
+        n = _kernel.MAX_BATCH_WORLDS
+        assert _kernel.avoid_tables(np.zeros((1, n), dtype=np.uint64), n).size == 1 << n
+        with pytest.raises(ValueError, match="at most"):
+            _kernel.avoid_tables(np.zeros((1, n + 1), dtype=np.uint64), n + 1)
+
 
 class TestKernelParity:
     """The batch kernel and the one-model evaluator both agree with force."""
@@ -182,14 +261,14 @@ class TestKernelParity:
 
     def check(self, models):
         packed = [m.packed for m in models]
-        batch = ModelBatch.of(packed)
-        n = batch.n
-        out = np.empty(len(batch), dtype=np.uint64)
+        b = ModelBatch.of(packed)
+        n = b.n
+        out = np.empty(len(b), dtype=np.uint64)
         for f in self.FORMULAS:
             for classical in (False, True):
                 prog = compile_formula(f, {"p": 0}, classical)
                 _kernel.eval_programs(
-                    prog.ops, prog.args, n, batch.up, batch.rel, batch.fallible, batch.vals, out
+                    prog.ops, prog.args, n, b.up_avoid, b.rel_avoid, b.fallible, b.vals, out, b.frame
                 )
                 for m, pm, batch_mask in zip(models, packed, out):
                     single = _kernel.eval_model(

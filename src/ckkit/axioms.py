@@ -12,14 +12,13 @@ exploratory frame testing only.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Iterator
 
 from .formula import (
-    Atom,
-    Box,
-    Diamond,
     Formula,
     analyze,
+    atom_names,
     enumerate_formulas,
     parse,
     substitute,
@@ -92,7 +91,7 @@ def logic_axioms(logic: str) -> frozenset[str]:
 
 
 def metavariables(s: AxiomSchema) -> tuple[str, ...]:
-    present = analyze(s.shape).atoms
+    present = atom_names(s.shape)
     return tuple(v for v in METAVARS if v in present)
 
 
@@ -117,21 +116,8 @@ def instances(
     for name in names:
         s = schema(name)
         mvars = metavariables(s)
-        if not mvars:
-            if s.shape not in seen:
-                seen.add(s.shape)
-                yield s.shape
-            continue
-        if len(mvars) == 1:
-            for g in pool:
-                inst = substitute(s.shape, {mvars[0]: g})
-                if inst not in seen:
-                    seen.add(inst)
-                    yield inst
-        else:
-            for g1 in pool:
-                for g2 in pool:
-                    inst = substitute(s.shape, {mvars[0]: g1, mvars[1]: g2})
-                    if inst not in seen:
-                        seen.add(inst)
-                        yield inst
+        for choice in product(pool, repeat=len(mvars)):
+            inst = substitute(s.shape, dict(zip(mvars, choice)))
+            if inst not in seen:
+                seen.add(inst)
+                yield inst

@@ -47,20 +47,14 @@ def _parse_formula(text: str):
         raise CliError(f"cannot parse formula: {exc}")
 
 
-def _merge_formula_opt(args) -> None:
-    """Take --formula as the formula argument; giving both is an error."""
-    if args.formula_opt:
-        if args.formula:
-            raise CliError("give the formula either positionally or with --formula, not both")
-        args.formula = args.formula_opt
-
-
 def _formula_args(args) -> list:
-    """Formulas from a positional/--formula argument and/or --formulas-file."""
+    """Formulas from a positional or --formula argument (not both) and/or --formulas-file."""
+    if args.formula and args.formula_opt:
+        raise CliError("give the formula either positionally or with --formula, not both")
     out = []
-    if getattr(args, "formula", None):
-        out.append(_parse_formula(args.formula))
-    if getattr(args, "formulas_file", None):
+    if args.formula or args.formula_opt:
+        out.append(_parse_formula(args.formula or args.formula_opt))
+    if args.formulas_file:
         try:
             with open(args.formulas_file, "r", encoding="utf-8") as fh:
                 for line in fh:
@@ -72,6 +66,18 @@ def _formula_args(args) -> list:
     if not out:
         raise CliError("no formula given (use a positional formula, --formula or --formulas-file)")
     return out
+
+
+def _search_args(args) -> tuple[list, search.EnumParams]:
+    """Formulas and search bounds, each formula's atoms checked before any search."""
+    formulas = _formula_args(args)
+    params = _enum_params(args)
+    for f in formulas:
+        try:
+            params.check_atoms(f)
+        except ValueError as exc:
+            raise CliError(f"'{render(f)}': {exc}; list them in --props")
+    return formulas, params
 
 
 def _enum_params(args) -> search.EnumParams:
@@ -183,9 +189,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_find_countermodel(args) -> int:
-    _merge_formula_opt(args)
-    formulas = _formula_args(args)
-    params = _enum_params(args)
+    formulas, params = _search_args(args)
     code = 0
     for f in formulas:
         verdict = search.find_countermodel(f, params)
@@ -200,9 +204,7 @@ def _cmd_find_countermodel(args) -> int:
 
 
 def _cmd_compare_classes(args) -> int:
-    _merge_formula_opt(args)
-    formulas = _formula_args(args)
-    params = _enum_params(args)
+    formulas, params = _search_args(args)
     report = search.compare_classes(
         formulas, CLASS_BY_NAME[args.cls_a], CLASS_BY_NAME[args.cls_b], params
     )

@@ -25,6 +25,11 @@ than ``MAX_DEPTH`` parentheses at once, raises ``ParseError("formula
 nested too deeply")``.  The printed form of a formula never nests more
 parentheses than connectives, so whatever ``parse`` accepts, ``render``
 prints and ``parse`` reads back.
+
+Formulas built in code may be deeper: every function here that walks a
+formula, and ``semantics.compile_formula``, loops over one iterative walk,
+while ``==``, ``hash``, ``repr`` (from the dataclasses) and
+``proofkit.ipc_valid`` still recurse.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ __all__ = [
     "render",
     "substitute",
     "analyze",
+    "atom_names",
     "subformulas",
     "enumerate_formulas",
 ]
@@ -227,22 +233,6 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r}", pos)
 
 
-def _depth(f: Formula) -> int:
-    """Connectives on the deepest branch of f, counted level by level."""
-    depth, level = 0, [f]
-    while True:
-        below = []
-        for g in level:
-            if isinstance(g, (And, Or, Implies)):
-                below += (g.left, g.right)
-            elif isinstance(g, (Box, Diamond)):
-                below.append(g.inner)
-        if not below:
-            return depth
-        depth += 1
-        level = below
-
-
 def parse(text: str) -> Formula:
     """Parse ``text`` into a Formula.  Raises ParseError on bad input.
 
@@ -258,54 +248,97 @@ def parse(text: str) -> Formula:
     return f
 
 
-# Precedence levels used by render: -> is 1, | is 2, & is 3, unary is 4,
-# atoms are 5.  A subterm is parenthesized when its level is below the
-# level its context requires.
-def _render(f: Formula, ctx: int) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Falsum):
-        return "false"
-    if isinstance(f, Box):
-        s = "[] " + _render(f.inner, 4)
-        return f"({s})" if ctx > 4 else s
-    if isinstance(f, Diamond):
-        s = "<> " + _render(f.inner, 4)
-        return f"({s})" if ctx > 4 else s
-    if isinstance(f, And):
-        s = _render(f.left, 3) + " & " + _render(f.right, 4)
-        return f"({s})" if ctx > 3 else s
-    if isinstance(f, Or):
-        s = _render(f.left, 2) + " | " + _render(f.right, 3)
-        return f"({s})" if ctx > 2 else s
-    if isinstance(f, Implies):
-        s = _render(f.left, 2) + " -> " + _render(f.right, 1)
-        return f"({s})" if ctx > 1 else s
-    raise TypeError(f"not a formula: {f!r}")
+_BINARY = frozenset({And, Or, Implies})
+
+
+def _postorder(f: Formula) -> list[Formula]:
+    """The nodes of f, each after its operands, operands left to right."""
+    # Taking each node before its right, then its left operand lists the
+    # nodes in the reverse of that order.
+    out = []
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        out.append(g)
+        kind = type(g)
+        if kind in _BINARY:
+            todo += (g.left, g.right)
+        elif kind is Box or kind is Diamond:
+            todo.append(g.inner)
+        elif kind is not Atom and kind is not Falsum:
+            raise TypeError(f"not a formula: {g!r}")
+    out.reverse()
+    return out
+
+
+def _depth(f: Formula) -> int:
+    """Connectives on the deepest branch of f."""
+    depths: list[int] = []
+    for g in _postorder(f):
+        kind = type(g)
+        if kind in _BINARY:
+            right = depths.pop()
+            depths[-1] = max(depths[-1], right) + 1
+        elif kind is Atom or kind is Falsum:
+            depths.append(0)
+        else:
+            depths[-1] += 1
+    return depths[0]
+
+
+# render's precedence levels: an operand is parenthesized when its level is
+# below the one its place requires; atoms and falsum are level 5.  Per
+# connective: its text, its level and the levels its operands require.
+_SYNTAX = {
+    Box: ("[] ", 4, None, 4),
+    Diamond: ("<> ", 4, None, 4),
+    And: (" & ", 3, 3, 4),
+    Or: (" | ", 2, 2, 3),
+    Implies: (" -> ", 1, 2, 1),
+}
 
 
 def render(f: Formula) -> str:
     """Minimally parenthesized text form; parse(render(f)) == f."""
-    return _render(f, 0)
+    done: list[tuple[str, int]] = []  # (text, level) of operands not yet used
+    for g in _postorder(f):
+        kind = type(g)
+        if kind is Atom or kind is Falsum:
+            done.append((g.name if kind is Atom else "false", 5))
+            continue
+        op, level, need_left, need_right = _SYNTAX[kind]
+        text, below = done.pop()
+        if below < need_right:
+            text = f"({text})"
+        if need_left is None:
+            text = op + text
+        else:
+            left, below = done.pop()
+            text = (f"({left})" if below < need_left else left) + op + text
+        done.append((text, level))
+    return done[0][0]
 
 
 def substitute(schema: Formula, assignment: Mapping[str, Formula]) -> Formula:
     """Simultaneously replace atoms by formulas; unmapped atoms stay fixed."""
-    if isinstance(schema, Atom):
-        return assignment.get(schema.name, schema)
-    if isinstance(schema, Falsum):
-        return schema
-    if isinstance(schema, And):
-        return And(substitute(schema.left, assignment), substitute(schema.right, assignment))
-    if isinstance(schema, Or):
-        return Or(substitute(schema.left, assignment), substitute(schema.right, assignment))
-    if isinstance(schema, Implies):
-        return Implies(substitute(schema.left, assignment), substitute(schema.right, assignment))
-    if isinstance(schema, Box):
-        return Box(substitute(schema.inner, assignment))
-    if isinstance(schema, Diamond):
-        return Diamond(substitute(schema.inner, assignment))
-    raise TypeError(f"not a formula: {schema!r}")
+    done: list[Formula] = []
+    for g in _postorder(schema):
+        kind = type(g)
+        if kind in _BINARY:
+            right = done.pop()
+            done[-1] = kind(done[-1], right)
+        elif kind is Atom:
+            done.append(assignment.get(g.name, g))
+        elif kind is Falsum:
+            done.append(g)
+        else:
+            done[-1] = kind(done[-1])
+    return done[0]
+
+
+def atom_names(f: Formula) -> frozenset[str]:
+    """The names of the atoms of f; analyze(f).atoms, without the other statistics."""
+    return frozenset([g.name for g in _postorder(f) if type(g) is Atom])
 
 
 @dataclass(frozen=True)
@@ -317,40 +350,48 @@ class FormulaStats:
 
 
 def analyze(f: Formula) -> FormulaStats:
-    """Single-traversal statistics: modal depth, node count, atoms, diamond-freeness."""
+    """Statistics in one pass: modal depth, node count, atoms, diamond-freeness."""
+    nodes = _postorder(f)
     atoms: set[str] = set()
-
-    def walk(g: Formula) -> tuple[int, int, bool]:
-        # returns (modal_depth, size, diamond_free)
-        if isinstance(g, Atom):
+    diamond_free = True
+    depths: list[int] = []
+    for g in nodes:
+        kind = type(g)
+        if kind in _BINARY:
+            right = depths.pop()
+            depths[-1] = max(depths[-1], right)
+        elif kind is Atom:
             atoms.add(g.name)
-            return 0, 1, True
-        if isinstance(g, Falsum):
-            return 0, 1, True
-        if isinstance(g, (And, Or, Implies)):
-            dl, sl, fl = walk(g.left)
-            dr, sr, fr = walk(g.right)
-            return max(dl, dr), 1 + sl + sr, fl and fr
-        if isinstance(g, Box):
-            d, s, df = walk(g.inner)
-            return d + 1, s + 1, df
-        if isinstance(g, Diamond):
-            d, s, _ = walk(g.inner)
-            return d + 1, s + 1, False
-        raise TypeError(f"not a formula: {g!r}")
-
-    depth, size, diamond_free = walk(f)
-    return FormulaStats(modal_depth=depth, size=size, atoms=frozenset(atoms), diamond_free=diamond_free)
+            depths.append(0)
+        elif kind is Falsum:
+            depths.append(0)
+        else:
+            depths[-1] += 1
+            if kind is Diamond:
+                diamond_free = False
+    return FormulaStats(depths[0], len(nodes), frozenset(atoms), diamond_free)
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    """All subformulas of f, parents before children."""
-    yield f
-    if isinstance(f, (And, Or, Implies)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, (Box, Diamond)):
-        yield from subformulas(f.inner)
+    """All subformulas of f, parents before children, left operand first."""
+    nodes = _postorder(f)
+    # start[k]: where the subtree of nodes[k] starts in nodes.  A node's right
+    # operand is just before it, its left one just before the right one's subtree.
+    start: list[int] = []
+    for k, g in enumerate(nodes):
+        kind = type(g)
+        if kind in _BINARY:
+            start.append(start[start[k - 1] - 1])
+        else:
+            start.append(k if kind is Atom or kind is Falsum else start[k - 1])
+    todo = [len(nodes) - 1]
+    while todo:
+        k = todo.pop()
+        yield nodes[k]
+        if type(nodes[k]) in _BINARY:
+            todo += (k - 1, start[k - 1] - 1)
+        elif start[k] < k:
+            todo.append(k - 1)
 
 
 def enumerate_formulas(

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from importlib import resources
 from typing import Mapping, Union
 
 from .axioms import logic_axioms, metavariables, schema
 from .formula import (
     And,
-    Atom,
     Box,
-    Diamond,
     FALSE,
     Falsum,
     Formula,
@@ -53,11 +52,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # intuitionistic propositional validity (G4ip)
-
-def _atomic(f: Formula) -> bool:
-    # Box/Diamond subformulas are opaque atoms for the propositional search
-    return isinstance(f, (Atom, Box, Diamond))
-
 
 # Sequent memo of the running ipc_valid call, emptied when that call
 # returns, so memory does not grow with the number of calls.
@@ -224,7 +218,7 @@ def check_proof(s: ProofScript) -> Verdict:
                     f"formula does not match the {step.name} instance "
                     f"'{render(expected)}'",
                 )
-            if any(v not in metavariables(sch) for v in step.assignment):
+            if not set(step.assignment).issubset(metavariables(sch)):
                 return Verdict(False, k, f"assignment names a metavariable {step.name} does not have")
         elif isinstance(step, MP):
             for idx in (step.i, step.j):
@@ -252,31 +246,17 @@ def check_proof(s: ProofScript) -> Verdict:
 
 
 def builtin_scripts() -> dict[str, ProofScript]:
-    """Shipped proof scripts, keyed by name.
+    """Shipped proof scripts, keyed by name: ``data/<name>.proof``.
 
     ``n_in_ckb`` derives the axiom N (no diamond-falsum) inside CKB from
     K-dia and B-dia.
     """
-    f = parse
-    n_in_ckb = ProofScript(
-        logic="CKB",
-        goal=f("<> false -> false"),
-        steps=(
-            Taut(f("false -> [] false")),
-            Nec(1, f("[] (false -> [] false)")),
-            AxiomInst(
-                "K_DIA",
-                {"A": FALSE, "B": Box(FALSE)},
-                f("[] (false -> [] false) -> (<> false -> <> [] false)"),
-            ),
-            MP(2, 3, f("<> false -> <> [] false")),
-            AxiomInst("B_DIA", {"A": FALSE}, f("<> [] false -> false")),
-            Taut(f("(<> false -> <> [] false) -> ((<> [] false -> false) -> (<> false -> false))")),
-            MP(4, 6, f("(<> [] false -> false) -> (<> false -> false)")),
-            MP(5, 7, f("<> false -> false")),
-        ),
-    )
-    return {"n_in_ckb": n_in_ckb}
+    data = resources.files(__package__) / "data"
+    return {
+        name[: -len(".proof")]: parse_proof_script((data / name).read_text(encoding="utf-8"))
+        for name in sorted(path.name for path in data.iterdir())
+        if name.endswith(".proof")
+    }
 
 
 # ---------------------------------------------------------------------------

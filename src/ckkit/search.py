@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Union
 import numpy as np
 
 from ._kernel import avoid_tables
-from .formula import Formula, render
+from .formula import Formula, atom_names, render
 from .kripke import (
     KripkeModel,
     PackedModel,
@@ -106,6 +106,14 @@ class EnumParams:
             raise ValueError(f"proposition names must be non-empty and distinct: {self.props}")
         if self.class_filter in ("IK", "IKB"):
             object.__setattr__(self, "allow_fallible", False)
+
+    def check_atoms(self, f: Formula) -> None:
+        """Raise ValueError naming the atoms of f that are not among props."""
+        missing = atom_names(f).difference(self.props)
+        if missing:
+            raise ValueError(
+                f"atoms not among the props ({', '.join(self.props)}): {', '.join(sorted(missing))}"
+            )
 
     def frame_constraints(self) -> tuple[bool, bool, bool]:
         sym = self.require_symmetric or self.class_filter in ("CKB", "IKB")
@@ -275,7 +283,11 @@ SearchVerdict = Union[Counterexample, NoneFound]
 
 
 def find_countermodel(f: Formula, params: EnumParams) -> SearchVerdict:
-    """First model (in enumeration order) and world where f fails, if any."""
+    """First model (in enumeration order) and world where f fails, if any.
+
+    Raises ValueError when f has atoms that are not among params.props.
+    """
+    params.check_atoms(f)
     examined = 0
     for batch in enumerate_batches(params):
         masks = eval_packed_batch(batch, f)
@@ -371,28 +383,17 @@ def sample_models(
             continue
         fal = 0
         if params.allow_fallible and rng.random() < 0.3:
-            fal = 1 << rng.randrange(n)
-            while True:
-                grown = fal
-                for w in bits(fal):
-                    grown |= up[w] | rel[w]
-                if grown == fal:
-                    break
-                fal = grown
+            # everything reachable from one world along up and rel
+            fal = transitive_closure([u | r for u, r in zip(up, rel)])[rng.randrange(n)]
         vals = []
         for _ in params.props:
             v = fal
             for w in range(n):
                 if rng.random() < 0.4:
                     v |= 1 << w
-            # close upward for monotonicity
-            while True:
-                grown = v
-                for w in bits(v):
-                    grown |= up[w]
-                if grown == v:
-                    break
-                v = grown
+            # close upward for monotonicity; up is transitive, so one pass does
+            for w in bits(v):
+                v |= up[w]
             vals.append(v)
         pm = PackedModel(
             n=n, up=up, rel=rel, fallible=fal,

@@ -29,7 +29,7 @@ A ``ModelBatch`` holds each frame's rows and avoid tables once, with a
 frame index per model; ``ModelBatch.of`` makes one frame of each run of
 consecutive models on equal rows.  Batches have at most
 ``_kernel.MAX_BATCH_WORLDS`` (8) worlds, single models ``MAX_WORLDS``
-(63).  ``compile_formula`` walks the formula with an explicit stack, so
+(63).  ``compile_formula`` is a loop over ``formula._postorder``, so
 formulas built in code compile and evaluate at any depth.
 """
 
@@ -52,7 +52,7 @@ from ._kernel import (
     OP_OR,
     avoid_tables,
 )
-from .formula import And, Atom, Box, Diamond, Falsum, Formula, Implies, Or
+from .formula import And, Atom, Box, Diamond, Falsum, Formula, Implies, Or, _postorder
 from .kripke import KripkeModel, PackedModel
 
 __all__ = [
@@ -77,37 +77,22 @@ class Program:
     args: tuple[int, ...]
 
 
+_OPCODES = {Atom: OP_ATOM, Falsum: OP_FALSUM, And: OP_AND, Or: OP_OR, Implies: OP_IMP, Box: OP_BOX}
+_OPCODES_GUARDED = {**_OPCODES, Diamond: OP_DIA}
+_OPCODES_CLASSICAL = {**_OPCODES, Diamond: OP_DIAC}
+
+
 def compile_formula(
     f: Formula, prop_index: Mapping[str, int], classical_diamond: bool = False
 ) -> Program:
     """Postfix-compile f; atoms missing from prop_index read the fallible mask."""
+    opcodes = _OPCODES_CLASSICAL if classical_diamond else _OPCODES_GUARDED
     ops: list[int] = []
     args: list[int] = []
-    # formulas still to compile, and the opcodes to emit once their operands are
-    todo: list[Formula | int] = [f]
-    while todo:
-        g = todo.pop()
-        if isinstance(g, int):
-            ops.append(g)
-            args.append(0)
-        elif isinstance(g, Atom):
-            ops.append(OP_ATOM)
-            args.append(prop_index.get(g.name, -1))
-        elif isinstance(g, Falsum):
-            ops.append(OP_FALSUM)
-            args.append(0)
-        elif isinstance(g, And):
-            todo += (OP_AND, g.right, g.left)
-        elif isinstance(g, Or):
-            todo += (OP_OR, g.right, g.left)
-        elif isinstance(g, Implies):
-            todo += (OP_IMP, g.right, g.left)
-        elif isinstance(g, Box):
-            todo += (OP_BOX, g.inner)
-        elif isinstance(g, Diamond):
-            todo += (OP_DIAC if classical_diamond else OP_DIA, g.inner)
-        else:
-            raise TypeError(f"not a formula: {g!r}")
+    for g in _postorder(f):
+        op = opcodes[type(g)]
+        ops.append(op)
+        args.append(prop_index.get(g.name, -1) if op == OP_ATOM else 0)
     return Program(ops=tuple(ops), args=tuple(args))
 
 

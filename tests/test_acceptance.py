@@ -1,10 +1,12 @@
 """Acceptance gate: one test per release criterion.
 
-Each test prints a single summary line; all eight must pass for the
-suite to be green.
+Each test prints a single summary line; all must pass for the suite to
+be green.  Criterion 8b pins the CK/IK contrast next to criterion 8's
+CKB/IKB collapse.
 """
 
 import time
+from dataclasses import replace
 
 from ckkit import data_path
 from ckkit.axioms import instances
@@ -178,3 +180,21 @@ def test_criterion_8_collapse_reflection(capsys):
     assert all(isinstance(c.verdict_a, NoneFound) for c in comparisons)
     assert all(isinstance(c.verdict_b, NoneFound) for c in comparisons)
     report(capsys, 8, f"collapse reflection on {len(comparisons)} instances", start)
+
+
+def test_criterion_8_das_marin_contrast(capsys):
+    # Beside the collapse of CKB and IKB, the separation it contrasts with:
+    # CK and IK differ on a diamond-free formula (after Das and Marin).
+    start = time.perf_counter()
+    f = parse("~~[]false -> []false")
+    params = EnumParams(max_worlds=3, props=("p",))
+    ck = find_countermodel(f, replace(params, class_filter="CK"))
+    assert isinstance(ck, Counterexample) and len(ck.model.worlds) == 2
+    assert eval_formula(ck.model, ck.world, f) is False
+    examined = {}
+    for cls in ("IK", "CKB", "IKB"):
+        verdict = find_countermodel(f, replace(params, class_filter=cls))
+        assert isinstance(verdict, NoneFound), cls
+        examined[cls] = verdict.models_examined
+    assert examined == {"IK": 21698, "CKB": 6522, "IKB": 3922}
+    report(capsys, "8b", "Das-Marin contrast: CK countermodel, none in IK, CKB, IKB", start)

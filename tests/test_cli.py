@@ -185,6 +185,23 @@ class TestFindCountermodel:
         assert (code, out) == (1, "")
         assert "distinct" in err
 
+    def test_atom_missing_from_props(self, capsys):
+        code, out, err = run(capsys, "find-countermodel", "~~q -> q", "--class", "ik")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: '((q -> false) -> false) -> q': atoms not among the props (p): q;"
+            " list them in --props\n"
+        )
+        code, out, _ = run(capsys, "find-countermodel", "~~q -> q", "--class", "ik", "--props", "q")
+        assert code == 2 and out.startswith("COUNTEREXAMPLE\n")
+
+    def test_atoms_checked_before_any_search(self, tmp_path, capsys):
+        path = tmp_path / "formulas.txt"
+        path.write_text("p -> [] <> p\np & q\n")
+        code, out, err = run(capsys, "find-countermodel", "--formulas-file", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: 'p & q': atoms not among the props (p): q")
+
     def test_emitted_model_is_loadable(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "find-countermodel", "p -> [] <> p", "--max-worlds", "3"
@@ -245,6 +262,16 @@ class TestCompareClasses:
         )
         assert (code, out) == (1, "")
         assert "distinct" in err
+
+    def test_atoms_checked_before_any_search(self, tmp_path, capsys):
+        path = tmp_path / "formulas.txt"
+        path.write_text("<> false -> false\n[] q -> q\n")
+        code, out, err = run(
+            capsys, "compare-classes", "--formulas-file", str(path),
+            "--class-a", "ck", "--class-b", "ckb", "--max-worlds", "2",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: '[] q -> q': atoms not among the props (p): q")
 
     def test_require_flags(self, capsys):
         # on symmetric frames CK has no countermodel to <> false -> false either

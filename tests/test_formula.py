@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,11 +16,15 @@ from ckkit.formula import (
     ParseError,
     TRUE,
     analyze,
+    atom_names,
     enumerate_formulas,
     parse,
     render,
+    subformulas,
     substitute,
+    _depth,
 )
+from ckkit.semantics import compile_formula
 
 from helpers_logic import NESTINGS, nested_text
 
@@ -174,6 +180,89 @@ class TestAnalyze:
         has_diamond = "<>" in render(f)
         assert stats.diamond_free == (not has_diamond)
         assert (stats.modal_depth == 0) == ("[]" not in render(f) and not has_diamond)
+
+
+class TestSubformulas:
+    def test_parents_first_left_operand_first(self):
+        f = parse("[] (p & <> q) -> false | p")
+        assert [render(g) for g in subformulas(f)] == [
+            "[] (p & <> q) -> false | p",
+            "[] (p & <> q)",
+            "p & <> q",
+            "p",
+            "<> q",
+            "q",
+            "false | p",
+            "false",
+            "p",
+        ]
+
+    def test_leaf(self):
+        assert list(subformulas(P)) == [P]
+
+    @given(formulas())
+    @settings(max_examples=100)
+    def test_one_per_node(self, f):
+        subs = list(subformulas(f))
+        assert subs[0] is f
+        assert len(subs) == analyze(f).size
+
+
+class TestWalkersAtDepth:
+    """Every walker loops over nodes, so formulas built in code may be deep."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_10000_deep(self, seed):
+        # one connective per level, on a random side; the other operand a leaf
+        rng = random.Random(seed)
+        leaves = (P, Q, FALSE)
+        f = rng.choice(leaves)
+        spine = []  # the nodes built, innermost first
+        size, modal, diamond = 1, 0, False
+        for _ in range(10_000):
+            kind = rng.choice((Box, Diamond, And, Or, Implies))
+            if kind in (Box, Diamond):
+                f = kind(f)
+                size, modal, diamond = size + 1, modal + 1, diamond or kind is Diamond
+            else:
+                leaf = rng.choice(leaves)
+                f = kind(f, leaf) if rng.random() < 0.5 else kind(leaf, f)
+                size += 2
+            spine.append(f)
+
+        text = render(f)
+        assert render(substitute(f, {"p": Q})) == text.replace("p", "q")
+        stats = analyze(f)
+        assert (stats.size, stats.modal_depth, stats.diamond_free) == (size, modal, not diamond)
+        assert atom_names(f) == stats.atoms
+        assert _depth(f) == 10_000
+        assert len(compile_formula(f, {"p": 0, "q": 1}).ops) == size
+        # subformulas lists each node once, every spine node before its operands
+        subs = list(subformulas(f))
+        assert len(subs) == size
+        position = {id(g): k for k, g in enumerate(subs)}
+        order = [position[id(g)] for g in reversed(spine)]
+        assert order == sorted(order)
+
+
+class TestNotAFormula:
+    @pytest.mark.parametrize("walk", [render, analyze, lambda f: list(subformulas(f)),
+                                      lambda f: substitute(f, {})])
+    def test_type_error(self, walk):
+        with pytest.raises(TypeError, match="not a formula: 3"):
+            walk(And(P, Box(3)))
+
+
+class TestAtomNames:
+    @given(formulas())
+    @settings(max_examples=100)
+    def test_analyze_atoms(self, f):
+        assert atom_names(f) == analyze(f).atoms
+
+    def test_falsum_has_none(self):
+        assert atom_names(parse("false -> [] (p | q)")) == {"p", "q"}
+        assert atom_names(FALSE) == frozenset()
 
 
 class TestEnumerate:

@@ -105,9 +105,14 @@ class TestCheckProof:
         assert str(verdict) == "ACCEPTED"
 
     def test_shipped_file_matches_builtin(self):
-        script = load_proof_script(data_path("n_in_ckb.proof"))
-        assert script == builtin_scripts()["n_in_ckb"]
-        assert check_proof(script).accepted
+        # every data/*.proof file is a builtin, and every one is accepted
+        builtins = builtin_scripts()
+        files = sorted(p.name for p in data_path("").iterdir() if p.name.endswith(".proof"))
+        assert files and [f"{name}.proof" for name in sorted(builtins)] == files
+        for name in files:
+            script = load_proof_script(data_path(name))
+            assert script == builtins[name[: -len(".proof")]]
+            assert str(check_proof(script)) == "ACCEPTED", name
 
     def test_goal_mismatch(self):
         base = builtin_scripts()["n_in_ckb"]

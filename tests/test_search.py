@@ -367,6 +367,16 @@ class TestFindCountermodel:
             else:
                 assert verdict == expected, text
 
+    @pytest.mark.parametrize("props", [(), ("p",), ("q", "r")])
+    def test_atoms_missing_from_props(self, props):
+        # a missing atom would read the fallible mask, so the search refuses it
+        f = parse("~~q -> q & p")
+        missing = sorted({"p", "q"} - set(props))
+        with pytest.raises(ValueError, match=f"props \\({', '.join(props)}\\): {', '.join(missing)}$"):
+            find_countermodel(f, EnumParams(max_worlds=2, props=props))
+        with pytest.raises(ValueError, match="not among the props"):
+            compare_classes([parse("p"), f], "CK", "IK", EnumParams(max_worlds=2, props=props))
+
     def test_search_is_deterministic(self):
         f = parse("[] p -> p")
         params = EnumParams(max_worlds=2, props=("p",))

@@ -18,7 +18,7 @@ from . import axioms as axioms_mod
 from . import kripke, proofkit, search, semantics
 from .formula import ParseError, parse, render
 
-CLASS_BY_NAME = {"ck": "CK", "ckb": "CKB", "ik": "IK", "ikb": "IKB"}
+_CLASS_CHOICES = [name.lower() for name in kripke.CLASSES]
 
 
 class CliError(Exception):
@@ -86,7 +86,7 @@ def _enum_params(args) -> search.EnumParams:
         return search.EnumParams(
             max_worlds=args.max_worlds,
             props=props,
-            class_filter=CLASS_BY_NAME[args.cls],
+            class_filter=args.cls.upper(),
             require_symmetric=args.require_symmetric,
             require_forward_confluent=args.require_fwd_confluent,
             require_backward_confluent=args.require_bwd_confluent,
@@ -131,15 +131,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula", nargs="?", default=None)
     p.add_argument("--formula", dest="formula_opt", default=None)
     p.add_argument("--formulas-file", default=None)
-    p.add_argument("--class", dest="cls", choices=sorted(CLASS_BY_NAME), default="ck")
+    p.add_argument("--class", dest="cls", choices=_CLASS_CHOICES, default="ck")
     _add_search_options(p)
 
     p = sub.add_parser("compare-classes", help="countermodel verdicts under two classes")
     p.add_argument("formula", nargs="?", default=None)
     p.add_argument("--formula", dest="formula_opt", default=None)
     p.add_argument("--formulas-file", default=None)
-    p.add_argument("--class-a", dest="cls_a", choices=sorted(CLASS_BY_NAME), required=True)
-    p.add_argument("--class-b", dest="cls_b", choices=sorted(CLASS_BY_NAME), required=True)
+    p.add_argument("--class-a", dest="cls_a", choices=_CLASS_CHOICES, required=True)
+    p.add_argument("--class-b", dest="cls_b", choices=_CLASS_CHOICES, required=True)
     _add_search_options(p)
     p.set_defaults(cls="ck")  # the base params' class; compare_classes replaces it
 
@@ -182,7 +182,7 @@ def _cmd_eval(args) -> int:
 def _cmd_classify(args) -> int:
     m = _load_model(args)
     report = kripke.frame_report(m)
-    print(" ".join(c for c in kripke.CLASS_NAMES if c in report.classes))
+    print(" ".join(c for c in kripke.CLASSES if c in report.classes))
     for name in ("symmetric", "forward_confluent", "backward_confluent", "fallible_r_back_closed"):
         print(f"{name}: {'true' if getattr(report, name) else 'false'}")
     return 0
@@ -205,9 +205,7 @@ def _cmd_find_countermodel(args) -> int:
 
 def _cmd_compare_classes(args) -> int:
     formulas, params = _search_args(args)
-    report = search.compare_classes(
-        formulas, CLASS_BY_NAME[args.cls_a], CLASS_BY_NAME[args.cls_b], params
-    )
+    report = search.compare_classes(formulas, args.cls_a.upper(), args.cls_b.upper(), params)
     for entry in report:
         print(entry.summary())
     mismatches = sum(entry.mismatch for entry in report)

@@ -11,7 +11,7 @@ a modal relation, and a monotone valuation.  Well-formedness conditions:
 
 ``validate_model`` checks all of this and reports every violation, not
 just the first.  ``frame_report`` computes symmetry and the two
-confluence conditions and derives class membership (CK/CKB/IK/IKB).
+confluence conditions and derives class membership from ``CLASSES``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 __all__ = [
+    "CLASSES",
     "KripkeModel",
     "PackedModel",
     "ModelDescription",
@@ -43,7 +44,14 @@ __all__ = [
     "is_backward_confluent",
 ]
 
-CLASS_NAMES = ("CK", "CKB", "IK", "IKB")
+# The four model classes, each by its frame conditions: name -> (R
+# symmetric, forward and backward confluent, no fallible worlds).
+CLASSES: dict[str, tuple[bool, bool, bool]] = {
+    "CK": (False, False, False),
+    "CKB": (True, True, False),
+    "IK": (False, True, True),
+    "IKB": (True, True, True),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +257,14 @@ class ModelValidationError(ValueError):
 
 def model_violations(desc: ModelDescription) -> list[str]:
     """All well-formedness violations of a model description (empty if valid)."""
+    return _checked(desc)[0]
+
+
+def _checked(desc: ModelDescription) -> tuple[list[str], PackedModel | None]:
+    """The violations of desc and, when there are none, its packed model."""
     violations: list[str] = []
     if not desc.worlds:
-        return ["empty world set"]
+        return ["empty world set"], None
     seen: set[str] = set()
     for w in desc.worlds:
         if w in seen:
@@ -277,7 +290,7 @@ def model_violations(desc: ModelDescription) -> list[str]:
         for w in ws:
             check_world(w, f"valuation of {p}")
     if violations:
-        return violations
+        return violations, None
 
     idx = {w: i for i, w in enumerate(desc.worlds)}
     n = len(desc.worlds)
@@ -304,10 +317,9 @@ def model_violations(desc: ModelDescription) -> list[str]:
     for w in desc.fallible:
         fal |= 1 << idx[w]
 
+    vals = {}
     for p in sorted(desc.valuation):
-        vmask = 0
-        for w in desc.valuation[p]:
-            vmask |= 1 << idx[w]
+        vmask = vals[p] = sum(1 << idx[w] for w in set(desc.valuation[p]))
         for i in bits(vmask):
             for j in bits(up[i] & ~vmask):
                 violations.append(
@@ -323,30 +335,21 @@ def model_violations(desc: ModelDescription) -> list[str]:
             violations.append(
                 f"fallible set not closed: {desc.worlds[i]!r} reaches non-fallible {desc.worlds[j]!r}"
             )
-    return violations
+    if violations:
+        return violations, None
+    props = tuple(desc.valuation)
+    return [], PackedModel(
+        n=n, up=tuple(up), rel=tuple(rel), fallible=fal,
+        props=props, vals=tuple(vals[p] for p in props), names=tuple(desc.worlds),
+    )
 
 
 def validate_model(desc: ModelDescription) -> KripkeModel:
     """Validate a description, raising ModelValidationError listing every violation."""
-    violations = model_violations(desc)
+    violations, pm = _checked(desc)
     if violations:
         raise ModelValidationError(violations)
-    idx = {w: i for i, w in enumerate(desc.worlds)}
-    n = len(desc.worlds)
-    up = [1 << i for i in range(n)]
-    for a, b in desc.order_pairs:
-        up[idx[a]] |= 1 << idx[b]
-    up = transitive_closure(up)
-    order = frozenset(
-        (desc.worlds[i], desc.worlds[j]) for i in range(n) for j in bits(up[i])
-    )
-    return KripkeModel(
-        worlds=tuple(desc.worlds),
-        fallible=frozenset(desc.fallible),
-        order=order,
-        relation=frozenset(desc.rel_pairs),
-        valuation={p: frozenset(ws) for p, ws in desc.valuation.items()},
-    )
+    return pm.to_model()
 
 
 # ---------------------------------------------------------------------------
@@ -372,20 +375,17 @@ def frame_report(m: KripkeModel) -> FrameReport:
         for w in range(pm.n)
         for v in bits(pm.rel[w])
     )
-    no_fallible = pm.fallible == 0
-    classes = {"CK"}
-    if sym and fwd and bwd:
-        classes.add("CKB")
-    if no_fallible and fwd and bwd:
-        classes.add("IK")
-    if sym and fwd and bwd and no_fallible:
-        classes.add("IKB")
+    holds = (sym, fwd and bwd, pm.fallible == 0)
+    classes = frozenset(
+        name for name, needs in CLASSES.items()
+        if all(h or not need for h, need in zip(holds, needs))
+    )
     return FrameReport(
         symmetric=sym,
         forward_confluent=fwd,
         backward_confluent=bwd,
         fallible_r_back_closed=back_closed,
-        classes=frozenset(classes),
+        classes=classes,
     )
 
 

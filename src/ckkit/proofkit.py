@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Union
 
-from .axioms import logic_axioms, metavariables, schema
+from .axioms import LOGICS, logic_axioms, metavariables, schema
 from .formula import (
     And,
     Box,
@@ -195,7 +195,7 @@ class Verdict:
 
 def check_proof(s: ProofScript) -> Verdict:
     """Check every step of a script; reject at the first failing step."""
-    if s.logic not in ("CK", "CKB", "IK", "IKB"):
+    if s.logic not in LOGICS:
         return Verdict(False, 0, f"unknown logic {s.logic!r}")
     admissible = logic_axioms(s.logic)
     if not s.steps:

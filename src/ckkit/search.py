@@ -11,11 +11,11 @@ the fallible set, then the valuation, so searches are deterministic.
 input of the batch kernel; ``enumerate_packed`` unpacks the same stream.
 
 Spaces of at most 3 worlds are enumerated once per process: the batches
-of each (n, sym, fwd, bwd, allow_fallible, number of props) are kept in
-``_batch_cache`` as read-only arrays (with the frames' avoid tables),
-with the suspended generator of the rest, which a later scan resumes.
-CKB with one prop takes ~300 KB, all four classes ~7 MB, all 144 keys
-116 MB.  The cache is not thread-safe.
+of each (n, sym, fwd, bwd, whether fallible worlds are allowed, number
+of props) are kept in ``_batch_cache`` as read-only arrays (with the
+frames' avoid tables), with the suspended generator of the rest, which a
+later scan resumes.  CKB with one prop takes ~300 KB, all four classes
+~7 MB, all 144 keys 116 MB.  The cache is not thread-safe.
 
 The enumeration is doubly exponential; a hard cap (5 worlds, 2
 propositions) guards against runaway parameters.
@@ -27,13 +27,13 @@ import random
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import chain, count, product
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from ._kernel import avoid_tables
 from .formula import Formula, atom_names, render
 from .kripke import (
+    CLASSES,
     KripkeModel,
     PackedModel,
     bits,
@@ -41,7 +41,7 @@ from .kripke import (
     is_forward_confluent,
     transitive_closure,
 )
-from .semantics import ModelBatch, eval_packed_batch
+from .semantics import ModelBatch, _batch_arrays, eval_packed_batch
 
 __all__ = [
     "EnumParams",
@@ -59,8 +59,6 @@ __all__ = [
     "sample_models",
 ]
 
-CLASSES = ("CK", "CKB", "IK", "IKB")
-
 CAP_WORLDS = 5
 CAP_PROPS = 2
 _CHUNK = 4096
@@ -75,15 +73,14 @@ class EnumerationCapError(ValueError):
 class EnumParams:
     """Bounds and filters for model enumeration.
 
-    class_filter picks one of CK/CKB/IK/IKB; the require_* flags compose
-    extra frame constraints on top (e.g. symmetric CK models).  The IK
-    and IKB classes force allow_fallible off.
+    class_filter names one of ``kripke.CLASSES``, whose frame conditions
+    the enumerated models meet; the require_* flags compose extra frame
+    constraints on top (e.g. symmetric CK models).
     """
 
     max_worlds: int
     props: tuple[str, ...] = ()
     class_filter: str = "CK"
-    allow_fallible: bool = True
     require_symmetric: bool = False
     require_forward_confluent: bool = False
     require_backward_confluent: bool = False
@@ -104,8 +101,11 @@ class EnumParams:
         object.__setattr__(self, "props", tuple(self.props))
         if "" in self.props or len(set(self.props)) < len(self.props):
             raise ValueError(f"proposition names must be non-empty and distinct: {self.props}")
-        if self.class_filter in ("IK", "IKB"):
-            object.__setattr__(self, "allow_fallible", False)
+
+    @property
+    def allow_fallible(self) -> bool:
+        """Whether models may have fallible worlds: not where the class forbids them."""
+        return not CLASSES[self.class_filter][2]
 
     def check_atoms(self, f: Formula) -> None:
         """Raise ValueError naming the atoms of f that are not among props."""
@@ -116,10 +116,13 @@ class EnumParams:
             )
 
     def frame_constraints(self) -> tuple[bool, bool, bool]:
-        sym = self.require_symmetric or self.class_filter in ("CKB", "IKB")
-        fwd = self.require_forward_confluent or self.class_filter in ("CKB", "IK", "IKB")
-        bwd = self.require_backward_confluent or self.class_filter in ("CKB", "IK", "IKB")
-        return sym, fwd, bwd
+        """Whether R must be symmetric, forward confluent, backward confluent."""
+        sym, confluent, _ = CLASSES[self.class_filter]
+        return (
+            sym or self.require_symmetric,
+            confluent or self.require_forward_confluent,
+            confluent or self.require_backward_confluent,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +149,11 @@ def count_preorders(n: int) -> int:
     return len(preorders(n))
 
 
-def _rel_masks(n: int, symmetric: bool) -> Iterator[int]:
+@cache
+def _rel_masks(n: int, symmetric: bool) -> Sequence[int]:
+    """Relations on n worlds as n*n-bit masks, ascending; the symmetric ones are built once."""
     if not symmetric:
-        yield from range(1 << (n * n))
-        return
+        return range(1 << (n * n))  # 2^25 at 5 worlds: too many to keep
     free = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
     masks = []
     for choice in range(1 << len(free)):
@@ -158,8 +162,7 @@ def _rel_masks(n: int, symmetric: bool) -> Iterator[int]:
             if (choice >> b) & 1:
                 mask |= (1 << (i * n + j)) | (1 << (j * n + i))
         masks.append(mask)
-    masks.sort()
-    yield from masks
+    return tuple(sorted(masks))
 
 
 def _rows_of(mask: int, n: int) -> tuple[int, ...]:
@@ -177,22 +180,10 @@ def _closed_sets(rows: tuple[int, ...] | list[int], n: int) -> list[int]:
     return [s for s, r in enumerate(reach) if r & ~s == 0]
 
 
-def _pack(frames, counts, fal, vals, n: int, nprops: int) -> tuple[np.ndarray, ...]:
-    """Read-only ModelBatch arrays after n and props."""
-    up, rel = (np.array(rows, dtype=np.uint64) for rows in zip(*frames))
-    vals = np.array(vals, dtype=np.uint64).reshape(len(fal), nprops)
-    frame = np.arange(len(counts)).repeat(counts)
-    fal = np.array(fal, dtype=np.uint64)
-    arrays = up, rel, avoid_tables(up, n), avoid_tables(rel, n), frame, fal, vals
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 def _frame_batches(
     n: int, sym: bool, fwd: bool, bwd: bool, allow_fallible: bool, nprops: int
 ) -> Iterator[tuple[np.ndarray, ...]]:
-    """The n-world models in _pack form, in batches of whole frames cut at _CHUNK models."""
+    """The n-world models as ModelBatch arrays, in batches of whole frames cut at _CHUNK models."""
     frames, counts, fal, vals = [], [], [], []
     for up in preorders(n):
         ucl = _closed_sets(up, n)
@@ -211,10 +202,10 @@ def _frame_batches(
             frames.append((up, rel))
             counts.append(len(fal) - start)
             if len(fal) >= _CHUNK:
-                yield _pack(frames, counts, fal, vals, n, nprops)
+                yield _batch_arrays(n, nprops, frames, counts, fal, vals)
                 frames, counts, fal, vals = [], [], [], []
     if fal:
-        yield _pack(frames, counts, fal, vals, n, nprops)
+        yield _batch_arrays(n, nprops, frames, counts, fal, vals)
 
 
 # (n, sym, fwd, bwd, allow_fallible, len(props)) -> (batches built so far, generator of the rest)

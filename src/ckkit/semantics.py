@@ -36,6 +36,7 @@ formulas built in code compile and evaluate at any depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -143,18 +144,26 @@ class ModelBatch:
         )
 
 
-def _pack_arrays(models: Sequence[PackedModel]):
-    """ModelBatch arrays after n and props, one frame per run of models on equal rows."""
-    frames, frame = [], []
-    for pm in models:
-        if not frames or frames[-1] != (pm.up, pm.rel):
-            frames.append((pm.up, pm.rel))
-        frame.append(len(frames) - 1)
-    n = models[0].n
+def _batch_arrays(n: int, nprops: int, frames, counts, fallible, vals) -> tuple[np.ndarray, ...]:
+    """Read-only ModelBatch arrays after n and props, of counts[i] models on frames[i] = (up, rel)."""
     up, rel = (np.array(rows, dtype=np.uint64) for rows in zip(*frames))
-    fal = np.array([pm.fallible for pm in models], dtype=np.uint64)
-    vals = np.array([pm.vals for pm in models], dtype=np.uint64)
-    return up, rel, avoid_tables(up, n), avoid_tables(rel, n), np.array(frame), fal, vals
+    frame = np.arange(len(counts)).repeat(counts)
+    fallible = np.array(fallible, dtype=np.uint64)
+    vals = np.array(vals, dtype=np.uint64).reshape(len(fallible), nprops)
+    arrays = up, rel, avoid_tables(up, n), avoid_tables(rel, n), frame, fallible, vals
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _pack_arrays(models: Sequence[PackedModel]) -> tuple[np.ndarray, ...]:
+    """ModelBatch arrays after n and props, one frame per run of models on equal rows."""
+    runs = [(frame, len(list(run))) for frame, run in groupby(models, lambda pm: (pm.up, pm.rel))]
+    frames, counts = zip(*runs)
+    return _batch_arrays(
+        models[0].n, len(models[0].props), frames, counts,
+        [pm.fallible for pm in models], [pm.vals for pm in models],
+    )
 
 
 def eval_packed_batch(

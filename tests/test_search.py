@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import replace
 from itertools import islice, product
 
 import pytest
@@ -53,6 +54,13 @@ class TestParams:
         assert EnumParams(max_worlds=2, class_filter="IKB").allow_fallible is False
         assert EnumParams(max_worlds=2, class_filter="CKB").allow_fallible is True
 
+    def test_allow_fallible_is_not_a_parameter(self):
+        # it follows from the class, so no replace() can carry it to another
+        with pytest.raises(TypeError):
+            EnumParams(max_worlds=2, class_filter="CK", allow_fallible=False)
+        params = EnumParams(max_worlds=2, class_filter="IK")
+        assert replace(params, class_filter="CK").allow_fallible is True
+
     def test_frame_constraints(self):
         assert EnumParams(max_worlds=2).frame_constraints() == (False, False, False)
         assert EnumParams(max_worlds=2, class_filter="CKB").frame_constraints() == (True, True, True)
@@ -83,11 +91,7 @@ class TestEnumeration:
         assert len(got) == 6
 
     def test_one_world_count_infallible(self):
-        got = list(
-            enumerate_models(
-                EnumParams(max_worlds=1, props=("p",), allow_fallible=False)
-            )
-        )
+        got = list(enumerate_models(EnumParams(max_worlds=1, props=("p",), class_filter="IK")))
         assert len(got) == 4  # 2 relations x 2 valuations
 
     def test_two_world_count(self):
@@ -124,13 +128,13 @@ class TestEnumeration:
                 assert cls in frame_report(m).classes
 
     def test_ckb_enumeration_is_the_symmetric_confluent_subset(self):
-        all_params = EnumParams(max_worlds=2, props=("p",))
-        ckb_params = EnumParams(max_worlds=2, props=("p",), class_filter="CKB")
-        expected = [
-            pm for pm in enumerate_packed(all_params)
-            if "CKB" in frame_report(pm.to_model()).classes
-        ]
-        assert list(enumerate_packed(ckb_params)) == expected
+        # and likewise for IK and IKB: each class's stream is the CK stream
+        # filtered by frame_report's membership, in order
+        all_models = list(enumerate_packed(EnumParams(max_worlds=2, props=("p",))))
+        for cls in ("CKB", "IK", "IKB"):
+            expected = [pm for pm in all_models if cls in frame_report(pm.to_model()).classes]
+            got = enumerate_packed(EnumParams(max_worlds=2, props=("p",), class_filter=cls))
+            assert list(got) == expected, cls
 
     @pytest.mark.parametrize("cls", ["CK", "CKB"])
     @pytest.mark.parametrize("props", [(), ("p",), ("p", "q")])
@@ -396,6 +400,24 @@ class TestCompareClasses:
         assert isinstance(entry.verdict_a, Counterexample)
         assert isinstance(entry.verdict_b, NoneFound)
         assert "MISMATCH" in entry.summary()
+
+    @pytest.mark.parametrize("a, b", [("CK", "CKB"), ("CKB", "IKB")])
+    def test_base_class_does_not_matter(self, a, b):
+        # each side takes its class's frame conditions, none of the base's
+        formulas = [parse("<> false -> false"), parse("p -> p")]
+
+        def outcome(base):
+            params = EnumParams(max_worlds=3, props=("p",), class_filter=base)
+            return [(c.verdict_a, c.verdict_b) for c in compare_classes(formulas, a, b, params)]
+
+        expected = outcome("CK")
+        for base in ("CKB", "IK", "IKB"):
+            assert outcome(base) == expected, base
+        examined = [getattr(v, "models_examined", None) for pair in expected for v in pair]
+        if a == "CK":
+            assert examined == [None, 6522, 105542, 6522]
+        else:
+            assert examined == [6522, 3922, 6522, 3922]
 
     def test_agreeing_formula(self):
         (entry,) = compare_classes(

@@ -220,7 +220,10 @@ def _cmd_check_proof(args) -> int:
         raise CliError(f"cannot read proof: {exc}")
     except (proofkit.ProofFormatError, ParseError) as exc:
         raise CliError(str(exc))
-    verdict = proofkit.check_proof(script)
+    try:
+        verdict = proofkit.check_proof(script)
+    except proofkit.ProofSearchTooDeep as exc:
+        raise CliError(str(exc))
     print(verdict)
     return 0 if verdict.accepted else 1
 

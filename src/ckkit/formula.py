@@ -27,9 +27,10 @@ parentheses than connectives, so whatever ``parse`` accepts, ``render``
 prints and ``parse`` reads back.
 
 Formulas built in code may be deeper: every function here that walks a
-formula, and ``semantics.compile_formula``, loops over one iterative walk,
-while ``==``, ``hash``, ``repr`` (from the dataclasses) and
-``proofkit.ipc_valid`` still recurse.
+formula, and ``semantics.compile_formula``, loops over one iterative walk;
+``==`` and ``repr`` loop over nodes too, and ``hash`` returns the value
+each node stored when it was built.  Only ``proofkit.ipc_valid`` recurses,
+and it raises ``proofkit.ProofSearchTooDeep`` past the recursion limit.
 """
 
 from __future__ import annotations
@@ -63,42 +64,143 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+class _Node:
+    """Shared behaviour of the seven constructors: immutable, slotted nodes.
+
+    A node's hash is computed once, when it is built, from its operands'
+    stored hashes.  It equals the hash a frozen dataclass gives, the tuple
+    hash of its fields (``hash((left, right))``, ``hash((inner,))``,
+    ``hash((name,))`` or ``hash(())``), so sets of formulas iterate in the
+    same order, and G4ip searches in the same order, as with dataclasses.
+    ``==`` compares operands only once types and hashes agree, and neither
+    ``==`` nor ``repr`` recurses.  ``__match_args__`` names the fields.
+    """
+
+    __slots__ = ("_hash",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._hash != other._hash:
+            return False
+        if type(self) is Atom:  # the common case: atoms built apart
+            return self.name == other.name
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            for name in a.__match_args__:
+                x = getattr(a, name)
+                y = getattr(b, name)
+                if x is y:
+                    continue
+                if isinstance(x, _Node):
+                    if type(x) is not type(y) or x._hash != y._hash:
+                        return False
+                    todo.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __repr__(self) -> str:
+        # Pre-order over nodes and the text between them, e.g.
+        # "Box(inner=Atom(name='p'))".  An operand that is not a node
+        # is pushed as its repr.
+        out = []
+        todo: list = [self]
+        while todo:
+            g = todo.pop()
+            if type(g) is str:
+                out.append(g)
+                continue
+            out.append(f"{type(g).__name__}(")
+            todo.append(")")
+            names = g.__match_args__
+            for k in reversed(range(len(names))):
+                x = getattr(g, names[k])
+                todo.append(x if isinstance(x, _Node) else repr(x))
+                todo.append(f"{', ' if k else ''}{names[k]}=")
+        return "".join(out)
+
+    def __reduce__(self):
+        # Rebuilt from the operands, so the hash is that of the loading
+        # process (string hashes differ between processes).
+        return type(self), tuple([getattr(self, name) for name in self.__match_args__])
 
 
-@dataclass(frozen=True)
-class Falsum:
-    pass
+class Atom(_Node):
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set_name(self, name)
+        _set_hash(self, hash((name,)))
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class Falsum(_Node):
+    __slots__ = ()
+
+    def __init__(self):
+        _set_hash(self, hash(()))
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class _Binary(_Node):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: "Formula", right: "Formula"):
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_hash(self, hash((left, right)))
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class _Unary(_Node):
+    __slots__ = ("inner",)
+    __match_args__ = ("inner",)
+
+    def __init__(self, inner: "Formula"):
+        _set_inner(self, inner)
+        _set_hash(self, hash((inner,)))
 
 
-@dataclass(frozen=True)
-class Box:
-    inner: "Formula"
+# The constructors write their slots through the slot descriptors, which
+# __setattr__ does not guard: cheaper than object.__setattr__ by name.
+_set_hash = _Node._hash.__set__
+_set_name = Atom.name.__set__
+_set_left = _Binary.left.__set__
+_set_right = _Binary.right.__set__
+_set_inner = _Unary.inner.__set__
 
 
-@dataclass(frozen=True)
-class Diamond:
-    inner: "Formula"
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class Box(_Unary):
+    __slots__ = ()
+
+
+class Diamond(_Unary):
+    __slots__ = ()
 
 
 Formula = Union[Atom, Falsum, And, Or, Implies, Box, Diamond]

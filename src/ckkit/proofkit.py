@@ -9,12 +9,17 @@ proves the declared goal; rejection names the first failing step.
 ``ipc_valid`` decides intuitionistic propositional validity by
 contraction-free backward proof search (Dyckhoff's G4ip calculus).  Box
 and diamond subformulas are treated as opaque atoms, identical
-subformulas sharing one.
+subformulas sharing one.  Formula nodes store their hashes (see
+``formula``), so G4ip's sets and memo hash a sequent without walking its
+formulas.  The search itself recurses, once per sequent on a branch, and
+raises ``ProofSearchTooDeep`` (a ``ValueError``) where it would pass the
+interpreter's recursion limit; ``check_proof`` passes that error on.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Union
@@ -35,6 +40,7 @@ from .formula import (
 
 __all__ = [
     "ipc_valid",
+    "ProofSearchTooDeep",
     "Taut",
     "AxiomInst",
     "MP",
@@ -132,10 +138,25 @@ def _prove_uncached(gamma: set, goal: Formula) -> bool:
     return False
 
 
+class ProofSearchTooDeep(ValueError):
+    """G4ip's search on a formula went deeper than Python's recursion limit."""
+
+
 def ipc_valid(f: Formula) -> bool:
-    """Intuitionistic propositional validity, modal subformulas as atoms."""
+    """Intuitionistic propositional validity, modal subformulas as atoms.
+
+    Raises ProofSearchTooDeep when the search nests deeper than the
+    interpreter's recursion limit: G4ip recurses once per sequent on a
+    branch, so a formula built in code thousands of connectives deep, or
+    one with hundreds of disjunctive hypotheses, can be too deep to search.
+    """
     try:
         return _prove(frozenset(), f)
+    except RecursionError:
+        raise ProofSearchTooDeep(
+            f"formula too deep for G4ip's recursive proof search "
+            f"(recursion limit {sys.getrecursionlimit()} reached)"
+        ) from None
     finally:
         _memo.clear()
 

@@ -5,6 +5,7 @@ going through the package's bitmask kernel or proof search, so it can
 serve as a second opinion.
 """
 
+from functools import reduce
 from itertools import product
 
 from ckkit.formula import (
@@ -129,6 +130,31 @@ def ipc_oracle_valid(f, max_worlds=3):
                 if not ipc_forces(rel, val, 0, f):
                     return False
     return True
+
+
+def de_bruijn(n, tag="p"):
+    """ILTP SYJ201 (de Bruijn): 2n+1 atoms in a cycle of equivalences; an IPC theorem."""
+    m = 2 * n + 1
+    ps = [Atom(f"{tag}{i}") for i in range(1, m + 1)]
+    c = reduce(And, ps)
+
+    def iff(a, b):
+        return And(Implies(a, b), Implies(b, a))
+
+    return Implies(reduce(And, [Implies(iff(ps[i], ps[(i + 1) % m]), c) for i in range(m)]), c)
+
+
+def pigeonhole(n, tag="p"):
+    """ILTP SYJ202 (PHP_n): n+1 pigeons in n holes share a hole; an IPC theorem."""
+    def p(i, j):
+        return Atom(f"{tag}{i}h{j}")
+
+    left = reduce(And, [reduce(Or, [p(i, j) for j in range(1, n + 1)]) for i in range(1, n + 2)])
+    right = reduce(Or, [
+        And(p(i, j), p(k, j))
+        for j in range(1, n + 1) for i in range(1, n + 2) for k in range(i + 1, n + 2)
+    ])
+    return Implies(left, right)
 
 
 # ---------------------------------------------------------------------------

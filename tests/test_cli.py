@@ -302,6 +302,18 @@ class TestCheckProof:
         code, _, err = run(capsys, "check-proof", str(bad))
         assert code == 1 and err.startswith("error:")
 
+    def test_search_too_deep(self, tmp_path, capsys):
+        # 1,024 disjunctive hypotheses, nested 11 deep: within the parse
+        # limit, but G4ip splits each disjunction one recursion deeper
+        parts = [f"(a{i} | b{i})" for i in range(1024)]
+        while len(parts) > 1:
+            parts = [f"({x} & {y})" for x, y in zip(parts[::2], parts[1::2])]
+        bad = tmp_path / "deep.proof"
+        bad.write_text(f"logic: CK\ngoal: c\n1. taut {parts[0]} -> c\n")
+        code, out, err = run(capsys, "check-proof", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: formula too deep for G4ip")
+
 
 class TestAxioms:
     def test_list(self, capsys):

@@ -1,8 +1,15 @@
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
+from dataclasses import make_dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ckkit
 from ckkit.formula import (
     And,
     Atom,
@@ -23,8 +30,10 @@ from ckkit.formula import (
     subformulas,
     substitute,
     _depth,
+    _postorder,
 )
-from ckkit.semantics import compile_formula
+from ckkit.kripke import figure2_model
+from ckkit.semantics import EvalContext, compile_formula, truth_mask
 
 from helpers_logic import NESTINGS, nested_text
 
@@ -208,28 +217,54 @@ class TestSubformulas:
         assert len(subs) == analyze(f).size
 
 
+def spine_formula(seed, first_leaf=None):
+    """A formula 10,000 connectives deep, one connective per level.
+
+    Each level puts a connective on a random side, the other operand a
+    shared leaf.  Returns the formula, the nodes built (innermost first),
+    its size, modal depth and whether it has a diamond, and its repr,
+    written from the dataclass form ``Kind(field=value, ...)``.
+    """
+    rng = random.Random(seed)
+    leaves = (P, Q, FALSE)
+    f = rng.choice(leaves)  # drawn either way, so the levels match
+    if first_leaf is not None:
+        f = first_leaf
+    inner_repr = repr(f)
+    spine = []
+    prefixes, suffixes = [], []  # repr text around the level below, per level
+    size, modal, diamond = 1, 0, False
+    for _ in range(10_000):
+        kind = rng.choice((Box, Diamond, And, Or, Implies))
+        name = kind.__name__
+        if kind in (Box, Diamond):
+            f = kind(f)
+            size, modal, diamond = size + 1, modal + 1, diamond or kind is Diamond
+            prefixes.append(f"{name}(inner=")
+            suffixes.append(")")
+        else:
+            leaf = rng.choice(leaves)
+            if rng.random() < 0.5:
+                f = kind(f, leaf)
+                prefixes.append(f"{name}(left=")
+                suffixes.append(f", right={leaf!r})")
+            else:
+                f = kind(leaf, f)
+                prefixes.append(f"{name}(left={leaf!r}, right=")
+                suffixes.append(")")
+            size += 2
+        spine.append(f)
+    text = "".join(reversed(prefixes)) + inner_repr + "".join(suffixes)
+    return f, spine, size, modal, diamond, text
+
+
 class TestWalkersAtDepth:
     """Every walker loops over nodes, so formulas built in code may be deep."""
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=5, deadline=None)
     def test_10000_deep(self, seed):
-        # one connective per level, on a random side; the other operand a leaf
-        rng = random.Random(seed)
-        leaves = (P, Q, FALSE)
-        f = rng.choice(leaves)
-        spine = []  # the nodes built, innermost first
-        size, modal, diamond = 1, 0, False
-        for _ in range(10_000):
-            kind = rng.choice((Box, Diamond, And, Or, Implies))
-            if kind in (Box, Diamond):
-                f = kind(f)
-                size, modal, diamond = size + 1, modal + 1, diamond or kind is Diamond
-            else:
-                leaf = rng.choice(leaves)
-                f = kind(f, leaf) if rng.random() < 0.5 else kind(leaf, f)
-                size += 2
-            spine.append(f)
+        f, spine, size, modal, diamond, expected_repr = spine_formula(seed)
 
         text = render(f)
         assert render(substitute(f, {"p": Q})) == text.replace("p", "q")
@@ -244,6 +279,116 @@ class TestWalkersAtDepth:
         position = {id(g): k for k, g in enumerate(subs)}
         order = [position[id(g)] for g in reversed(spine)]
         assert order == sorted(order)
+
+        # ==, hash and repr: against a copy built again, node by node, and
+        # against one whose innermost leaf differs
+        same = spine_formula(seed)[0]
+        other = spine_formula(seed, first_leaf=Atom("r"))[0]
+        assert same is not f and hash(same) == hash(f)
+        assert same == f and not same != f
+        assert other != f and not other == f
+        assert repr(f) == expected_repr
+        ctx = EvalContext(figure2_model())
+        assert ctx.mask(f) == ctx.mask(same) == truth_mask(figure2_model(), f)
+
+
+class TestNode:
+    """The hand-written nodes behave like the frozen dataclasses they replace."""
+
+    def test_hash_is_the_tuple_hash_of_the_fields(self):
+        for f in enumerate_formulas(("p", "q"), 5):
+            if isinstance(f, Atom):
+                expected = hash((f.name,))
+            elif isinstance(f, Falsum):
+                expected = hash(())
+            elif isinstance(f, (Box, Diamond)):
+                expected = hash((f.inner,))
+            else:
+                expected = hash((f.left, f.right))
+            assert hash(f) == expected, f
+
+    def test_repr_and_eq_match_dataclasses(self):
+        # frozen dataclasses with the same names and fields, built node by node
+        mirror = {
+            kind: make_dataclass(kind.__name__, kind.__match_args__, frozen=True)
+            for kind in (Atom, Falsum, And, Or, Implies, Box, Diamond)
+        }
+
+        def as_dataclass(f):
+            done = []
+            for g in _postorder(f):
+                kind = type(g)
+                if kind is Atom:
+                    done.append(mirror[Atom](g.name))
+                    continue
+                args = [done.pop() for _ in kind.__match_args__][::-1]
+                done.append(mirror[kind](*args))
+            return done[0]
+
+        fs = enumerate_formulas(("p", "q"), 4)
+        for f in fs:
+            d = as_dataclass(f)
+            assert repr(f) == repr(d)
+            assert hash(f) == hash(d)
+        assert repr(Implies(P, FALSE)) == "Implies(left=Atom(name='p'), right=Falsum())"
+        # == is structural, and False between different constructors
+        for f, g in zip(fs, enumerate_formulas(("p", "q"), 4)):
+            assert f == g and hash(f) == hash(g)
+        assert And(P, Q) != Or(P, Q)
+        assert Atom("p") != "p" and not Atom("p") == "p"
+        assert Box(P) != Box(Q) and Box(P) == Box(Atom("p"))
+
+    def test_keyword_arguments(self):
+        assert And(left=P, right=Q) == And(P, Q)
+        assert Box(inner=P) == Box(P)
+        assert Atom(name="p") == P
+
+    @pytest.mark.parametrize("f", [P, FALSE, And(P, Q), Box(Diamond(P))], ids=repr)
+    def test_immutable(self, f):
+        for name in (*type(f).__match_args__, "_hash", "other"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, Q)
+            with pytest.raises(AttributeError):
+                delattr(f, name)
+
+    def test_copy_and_pickle(self):
+        for f in enumerate_formulas(("p", "q"), 4):
+            for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+                assert type(g) is type(f) and g == f and hash(g) == hash(f)
+
+    def test_pickle_across_hash_seeds(self, tmp_path):
+        # A stored hash would go stale in a process with other string hashes,
+        # so a loaded formula must hash like one parsed there.
+        texts = ["p", "false", "[] (p & <> q) -> false | p", "~ (p_1 | q) -> <> r"]
+        src = os.path.dirname(os.path.dirname(ckkit.__file__))
+        path = tmp_path / "formulas.pickle"
+        dump = (
+            "import pickle, sys\n"
+            "from ckkit.formula import parse\n"
+            "pickle.dump([parse(t) for t in sys.argv[2:]], open(sys.argv[1], 'wb'))\n"
+            "print(hash(parse(sys.argv[2])))\n"
+        )
+        load = (
+            "import pickle, sys\n"
+            "from ckkit.formula import parse\n"
+            "loaded = pickle.load(open(sys.argv[1], 'rb'))\n"
+            "fresh = [parse(t) for t in sys.argv[2:]]\n"
+            "assert loaded == fresh\n"
+            "assert [hash(f) for f in loaded] == [hash(f) for f in fresh]\n"
+            "assert all(f in set(fresh) for f in loaded)\n"
+            "print(hash(fresh[0]))\n"
+        )
+        seen = []
+        for code, seed in ((dump, "1"), (load, "2")):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-c", code, str(path), *texts],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            seen.append(proc.stdout)
+        # the two processes hash "p" differently
+        assert seen[0] != seen[1]
 
 
 class TestNotAFormula:

@@ -1,10 +1,14 @@
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import reduce
 
 import pytest
 
-from ckkit import data_path
+import ckkit
+from ckkit import data_path, proofkit
 from ckkit.formula import And, Atom, Box, FALSE, Implies, enumerate_formulas, parse
 from ckkit.proofkit import (
     AxiomInst,
@@ -12,6 +16,7 @@ from ckkit.proofkit import (
     Nec,
     ProofFormatError,
     ProofScript,
+    ProofSearchTooDeep,
     Taut,
     builtin_scripts,
     check_proof,
@@ -21,6 +26,8 @@ from ckkit.proofkit import (
 )
 
 from helpers_logic import ipc_oracle_valid, script_mutations
+
+P = Atom("p")
 
 
 class TestIpcValid:
@@ -95,6 +102,58 @@ class TestIpcValid:
             if ipc_valid(f) != ipc_oracle_valid(f, max_worlds=3):
                 mismatches.append(f)
         assert mismatches == []
+
+
+    def test_sequent_counts(self):
+        # The number of G4ip sequents a search visits follows the order in
+        # which it walks its sets, and so formula hashes: pin it for the
+        # benchmark's family formulas, under one hash seed.
+        code = (
+            "from ckkit import proofkit\n"
+            "from helpers_logic import de_bruijn, pigeonhole\n"
+            "inner = proofkit._prove\n"
+            "calls = 0\n"
+            "def counted(gamma, goal):\n"
+            "    global calls\n"
+            "    calls += 1\n"
+            "    return inner(gamma, goal)\n"
+            "proofkit._prove = counted\n"
+            "for f in (de_bruijn(3, 'a'), de_bruijn(4, 'a'), pigeonhole(2, 'a'), pigeonhole(3, 'a')):\n"
+            "    calls = 0\n"
+            "    assert proofkit.ipc_valid(f)\n"
+            "    print(calls)\n"
+        )
+        src = os.path.dirname(os.path.dirname(ckkit.__file__))
+        tests = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]), PYTHONHASHSEED="0")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["269", "619", "113", "2961"]
+
+
+def and_chain(depth, right_nested):
+    """A chain of ``depth`` conjunctions of p; an IPC theorem under hypothesis p."""
+    f = P
+    for _ in range(depth):
+        f = And(P, f) if right_nested else And(f, P)
+    return Implies(P, f)
+
+
+class TestTooDeep:
+    @pytest.mark.parametrize("right_nested", [False, True])
+    def test_ipc_valid_raises_typed_error(self, right_nested):
+        with pytest.raises(ProofSearchTooDeep, match="recursion limit") as exc:
+            ipc_valid(and_chain(10_000, right_nested))
+        assert isinstance(exc.value, ValueError)
+        assert proofkit._memo == {}
+        # the next call starts clean
+        assert ipc_valid(and_chain(50, right_nested))
+
+    def test_check_proof_passes_it_on(self):
+        f = and_chain(10_000, True)
+        with pytest.raises(ProofSearchTooDeep):
+            check_proof(ProofScript(logic="CK", steps=(Taut(f),), goal=f))
+        assert proofkit._memo == {}
 
 
 class TestCheckProof:

@@ -34,7 +34,7 @@ def _closure_flag(value: str | None) -> bool | None:
 def _load_model(args) -> kripke.KripkeModel:
     try:
         return kripke.load_model(args.model, close_order=_closure_flag(args.preceq_closure))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read model: {exc}")
     except (kripke.ModelFormatError, kripke.ModelValidationError) as exc:
         raise CliError(str(exc))
@@ -61,7 +61,7 @@ def _formula_args(args) -> list:
                     line = line.strip()
                     if line and not line.startswith("#"):
                         out.append(_parse_formula(line))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read formulas file: {exc}")
     if not out:
         raise CliError("no formula given (use a positional formula, --formula or --formulas-file)")
@@ -216,7 +216,7 @@ def _cmd_compare_classes(args) -> int:
 def _cmd_check_proof(args) -> int:
     try:
         script = proofkit.load_proof_script(args.path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read proof: {exc}")
     except (proofkit.ProofFormatError, ParseError) as exc:
         raise CliError(str(exc))

@@ -476,24 +476,17 @@ def analyze(f: Formula) -> FormulaStats:
 
 def subformulas(f: Formula) -> Iterator[Formula]:
     """All subformulas of f, parents before children, left operand first."""
-    nodes = _postorder(f)
-    # start[k]: where the subtree of nodes[k] starts in nodes.  A node's right
-    # operand is just before it, its left one just before the right one's subtree.
-    start: list[int] = []
-    for k, g in enumerate(nodes):
+    todo = [f]
+    while todo:
+        g = todo.pop()
         kind = type(g)
         if kind in _BINARY:
-            start.append(start[start[k - 1] - 1])
-        else:
-            start.append(k if kind is Atom or kind is Falsum else start[k - 1])
-    todo = [len(nodes) - 1]
-    while todo:
-        k = todo.pop()
-        yield nodes[k]
-        if type(nodes[k]) in _BINARY:
-            todo += (k - 1, start[k - 1] - 1)
-        elif start[k] < k:
-            todo.append(k - 1)
+            todo += (g.right, g.left)
+        elif kind is Box or kind is Diamond:
+            todo.append(g.inner)
+        elif kind is not Atom and kind is not Falsum:
+            raise TypeError(f"not a formula: {g!r}")
+        yield g
 
 
 def enumerate_formulas(

@@ -12,6 +12,10 @@ a modal relation, and a monotone valuation.  Well-formedness conditions:
 ``validate_model`` checks all of this and reports every violation, not
 just the first.  ``frame_report`` computes symmetry and the two
 confluence conditions and derives class membership from ``CLASSES``.
+
+A validated ``KripkeModel`` is one value, its canonical ``PackedModel``;
+``_checked`` is the only code that turns world names into masks, and the
+name sets a ``KripkeModel`` shows are derived from the masks when read.
 """
 
 from __future__ import annotations
@@ -133,7 +137,7 @@ class PackedModel:
 
     up[i] is the mask of <=-successors of world i (including i itself),
     rel[i] the mask of R-successors, fallible the mask of fallible worlds,
-    vals[k] the extension of props[k].
+    vals[k] the extension of props[k]; empty names stand for w1..wn.
     """
 
     n: int
@@ -144,55 +148,59 @@ class PackedModel:
     vals: tuple[int, ...]
     names: tuple[str, ...] = ()
 
-    def world_names(self) -> tuple[str, ...]:
-        if self.names:
-            return self.names
-        return tuple(f"w{i + 1}" for i in range(self.n))
-
     def to_model(self) -> "KripkeModel":
-        names = self.world_names()
-        order = frozenset(
-            (names[i], names[j]) for i in range(self.n) for j in bits(self.up[i])
-        )
-        relation = frozenset(
-            (names[i], names[j]) for i in range(self.n) for j in bits(self.rel[i])
-        )
-        valuation = {
-            p: frozenset(names[j] for j in bits(mask))
-            for p, mask in zip(self.props, self.vals)
-        }
-        return KripkeModel(
-            worlds=names,
-            fallible=frozenset(names[j] for j in bits(self.fallible)),
-            order=order,
-            relation=relation,
-            valuation=valuation,
-        )
+        """The model of these masks, canonical: world names filled in, props sorted."""
+        props = tuple(sorted(self.props))
+        if self.names and props == self.props:
+            return KripkeModel(self)
+        val_of = dict(zip(self.props, self.vals))
+        names = self.names or tuple(f"w{i + 1}" for i in range(self.n))
+        return KripkeModel(PackedModel(
+            self.n, self.up, self.rel, self.fallible, props, tuple(val_of[p] for p in props), names,
+        ))
+
+
+def _pairs(names: tuple[str, ...], rows: tuple[int, ...]) -> Iterator[tuple[str, str]]:
+    """The pairs (a, b) of world names with b in the row of a."""
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            yield names[i], names[j]
 
 
 @dataclass(frozen=True)
 class KripkeModel:
-    """A validated model.  Immutable and hashable; all queries are pure.
+    """A validated model, built by ``validate_model`` or ``PackedModel.to_model``.
 
-    The valuation is kept as a read-only mapping over a private copy.
+    ``packed`` has world names filled in and props sorted, so equal models
+    have equal masks.  The views below are derived from it on first use.
     """
 
-    worlds: tuple[str, ...]
-    fallible: frozenset[str]
-    order: frozenset[tuple[str, str]]
-    relation: frozenset[tuple[str, str]]
-    valuation: Mapping[str, frozenset[str]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "valuation", MappingProxyType(dict(self.valuation)))
+    packed: PackedModel
 
     def __reduce__(self):
-        # a mapping proxy does not pickle; rebuild from a copy of its dict
-        return KripkeModel, (self.worlds, self.fallible, self.order, self.relation, dict(self.valuation))
+        # the cached views hold a mapping proxy, which does not pickle
+        return KripkeModel, (self.packed,)
 
-    def __hash__(self) -> int:
-        valuation = frozenset(self.valuation.items())
-        return hash((self.worlds, self.fallible, self.order, self.relation, valuation))
+    @property
+    def worlds(self) -> tuple[str, ...]:
+        return self.packed.names
+
+    @cached_property
+    def fallible(self) -> frozenset[str]:
+        return frozenset(self.worlds[i] for i in bits(self.packed.fallible))
+
+    @cached_property
+    def order(self) -> frozenset[tuple[str, str]]:
+        return frozenset(_pairs(self.worlds, self.packed.up))
+
+    @cached_property
+    def relation(self) -> frozenset[tuple[str, str]]:
+        return frozenset(_pairs(self.worlds, self.packed.rel))
+
+    @cached_property
+    def valuation(self) -> Mapping[str, frozenset[str]]:
+        masks = zip(self.packed.props, self.packed.vals)
+        return MappingProxyType({p: frozenset(self.worlds[i] for i in bits(v)) for p, v in masks})
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -203,28 +211,6 @@ class KripkeModel:
             return self._index[world]
         except KeyError:
             raise KeyError(f"unknown world {world!r}") from None
-
-    @cached_property
-    def packed(self) -> PackedModel:
-        idx = self._index
-        n = len(self.worlds)
-        up = [0] * n
-        rel = [0] * n
-        for a, b in self.order:
-            up[idx[a]] |= 1 << idx[b]
-        for a, b in self.relation:
-            rel[idx[a]] |= 1 << idx[b]
-        fal = 0
-        for w in self.fallible:
-            fal |= 1 << idx[w]
-        props = tuple(sorted(self.valuation))
-        vals = tuple(
-            sum(1 << idx[w] for w in self.valuation[p]) for p in props
-        )
-        return PackedModel(
-            n=n, up=tuple(up), rel=tuple(rel), fallible=fal,
-            props=props, vals=vals, names=self.worlds,
-        )
 
     def description(self) -> "ModelDescription":
         return ModelDescription(
@@ -337,10 +323,9 @@ def _checked(desc: ModelDescription) -> tuple[list[str], PackedModel | None]:
             )
     if violations:
         return violations, None
-    props = tuple(desc.valuation)
     return [], PackedModel(
         n=n, up=tuple(up), rel=tuple(rel), fallible=fal,
-        props=props, vals=tuple(vals[p] for p in props), names=tuple(desc.worlds),
+        props=tuple(vals), vals=tuple(vals.values()), names=tuple(desc.worlds),
     )
 
 
@@ -423,7 +408,8 @@ def parse_model_description(text: str) -> ModelDescription:
     """Parse the line-oriented .km model format.
 
     Keys: worlds, fallible, preceq, preceq-closure, rel, val.  Lines
-    starting with '#' are comments; unknown keys are errors.
+    starting with '#' are comments; unknown keys, and a second worlds,
+    fallible or preceq-closure line, are errors.
     """
     worlds: tuple[str, ...] = ()
     fallible: tuple[str, ...] = ()
@@ -431,7 +417,7 @@ def parse_model_description(text: str) -> ModelDescription:
     rel_pairs: list[tuple[str, str]] = []
     valuation: dict[str, tuple[str, ...]] = {}
     close_order = True
-    saw_worlds = False
+    seen: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -442,9 +428,12 @@ def parse_model_description(text: str) -> ModelDescription:
         key, _, value = line.partition(":")
         key = key.strip()
         value = value.strip()
+        if key in ("worlds", "fallible", "preceq-closure"):
+            if key in seen:
+                raise ModelFormatError(f"line {lineno}: repeated '{key}:' line")
+            seen.add(key)
         if key == "worlds":
             worlds = tuple(value.split())
-            saw_worlds = True
         elif key == "fallible":
             fallible = tuple(value.split())
         elif key == "preceq":
@@ -475,7 +464,7 @@ def parse_model_description(text: str) -> ModelDescription:
             valuation[prop] = tuple(ws.split())
         else:
             raise ModelFormatError(f"line {lineno}: unknown key {key!r}")
-    if not saw_worlds:
+    if "worlds" not in seen:
         raise ModelFormatError("missing 'worlds:' line")
     return ModelDescription(
         worlds=worlds,
@@ -498,18 +487,18 @@ def load_model(path, close_order: bool | None = None) -> KripkeModel:
 
 def format_model(m: KripkeModel) -> str:
     """Serialize a model in the .km format; round-trips through parse + validate."""
+    pm, names = m.packed, m.worlds
     lines = [
-        "worlds: " + " ".join(m.worlds),
-        "fallible: " + " ".join(w for w in m.worlds if w in m.fallible),
+        "worlds: " + " ".join(names),
+        "fallible: " + " ".join(names[i] for i in bits(pm.fallible)),
         "preceq-closure: on",
         "preceq: " + " ".join(
-            f"{a}<={b}" for a, b in sorted(m.order) if a != b
+            f"{a}<={b}" for a, b in sorted(_pairs(names, pm.up)) if a != b
         ),
-        "rel: " + " ".join(f"{a}~{b}" for a, b in sorted(m.relation)),
+        "rel: " + " ".join(f"{a}~{b}" for a, b in sorted(_pairs(names, pm.rel))),
     ]
-    for p in sorted(m.valuation):
-        members = [w for w in m.worlds if w in m.valuation[p]]
-        lines.append(f"val: {p} = " + " ".join(members))
+    for p, mask in zip(pm.props, pm.vals):
+        lines.append(f"val: {p} = " + " ".join(names[i] for i in bits(mask)))
     return "\n".join(lines) + "\n"
 
 

@@ -22,6 +22,7 @@ import re
 import sys
 from dataclasses import dataclass
 from importlib import resources
+from types import MappingProxyType
 from typing import Mapping, Union
 
 from .axioms import LOGICS, logic_axioms, metavariables, schema
@@ -176,7 +177,15 @@ class AxiomInst:
     formula: Formula
 
     def __post_init__(self):
-        object.__setattr__(self, "assignment", dict(self.assignment))
+        # a read-only mapping over a private copy
+        object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
+
+    def __reduce__(self):
+        # a mapping proxy does not pickle; rebuild from a copy of its dict
+        return AxiomInst, (self.name, dict(self.assignment), self.formula)
+
+    def __hash__(self) -> int:
+        return hash((self.name, frozenset(self.assignment.items()), self.formula))
 
 
 @dataclass(frozen=True)
@@ -294,7 +303,7 @@ _AXIOM_RE = re.compile(r"^(\w+)\s*\{([^}]*)\}\s*(.*)$")
 def parse_proof_script(text: str) -> ProofScript:
     """Parse the line-oriented proof script format.
 
-    Header lines ``logic:`` and ``goal:``, then numbered steps::
+    Header lines ``logic:`` and ``goal:``, once each, then numbered steps::
 
         k. taut <formula>
         k. axiom NAME {A=<formula>; B=<formula>} <formula>
@@ -309,9 +318,13 @@ def parse_proof_script(text: str) -> ProofScript:
         if not line or line.startswith("#"):
             continue
         if line.startswith("logic:"):
+            if logic is not None:
+                raise ProofFormatError(f"line {lineno}: repeated 'logic:' header")
             logic = line.partition(":")[2].strip()
             continue
         if line.startswith("goal:"):
+            if goal is not None:
+                raise ProofFormatError(f"line {lineno}: repeated 'goal:' header")
             goal = parse(line.partition(":")[2].strip())
             continue
         m = _STEP_RE.match(line)

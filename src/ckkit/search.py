@@ -286,9 +286,9 @@ def find_countermodel(f: Formula, params: EnumParams) -> SearchVerdict:
         hits = np.flatnonzero(masks != np.uint64(full))
         if hits.size:
             k = int(hits[0])
-            pm = batch.model(k)
+            m = batch.model(k).to_model()
             world_index = next(bits(full & ~int(masks[k])))
-            return Counterexample(model=pm.to_model(), world=pm.world_names()[world_index])
+            return Counterexample(model=m, world=m.worlds[world_index])
         examined += len(batch)
     return NoneFound(
         max_worlds=params.max_worlds, props=params.props, models_examined=examined

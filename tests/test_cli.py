@@ -75,6 +75,13 @@ class TestCheckModel:
         code, _, err = run(capsys, "check-model", "--model", "/nonexistent.km")
         assert code == 1 and err.startswith("error: cannot read model")
 
+    def test_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.km"
+        bad.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "check-model", "--model", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot read model")
+
     def test_closure_override(self, tmp_path, capsys):
         f = tmp_path / "m.km"
         f.write_text("worlds: a\npreceq:\n")
@@ -127,6 +134,13 @@ class TestClassify:
 
 
 class TestFindCountermodel:
+    def test_formulas_file_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"p\n\xff\xfe\n")
+        code, out, err = run(capsys, "find-countermodel", "--formulas-file", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot read formulas file")
+
     def test_counterexample_exit_2(self, capsys):
         code, out, _ = run(
             capsys, "find-countermodel", "p -> [] <> p", "--max-worlds", "3"
@@ -301,6 +315,13 @@ class TestCheckProof:
         bad.write_text("1. taut p -> p\n")
         code, _, err = run(capsys, "check-proof", str(bad))
         assert code == 1 and err.startswith("error:")
+
+    def test_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "check-proof", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot read proof")
 
     def test_search_too_deep(self, tmp_path, capsys):
         # 1,024 disjunctive hypotheses, nested 11 deep: within the parse

@@ -1,5 +1,5 @@
 import pickle
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
@@ -23,6 +23,7 @@ from ckkit.kripke import (
     validate_model,
 )
 from ckkit import data_path
+from ckkit.search import EnumParams, enumerate_packed
 
 
 def simple_desc(**overrides):
@@ -220,6 +221,24 @@ class TestFileFormat:
             with pytest.raises(ModelFormatError):
                 parse_model_description(text)
 
+    def test_single_valued_keys_once(self):
+        from ckkit.kripke import ModelFormatError
+
+        for text, where in [
+            ("worlds: a b\nworlds: c\n", "line 2: repeated 'worlds:'"),
+            ("worlds: a\nfallible:\nfallible: a\n", "line 3: repeated 'fallible:'"),
+            ("worlds: a\npreceq-closure: off\npreceq-closure: on\n", "line 3: repeated 'preceq-closure:'"),
+        ]:
+            with pytest.raises(ModelFormatError, match=f"^{where} line$"):
+                parse_model_description(text)
+
+    def test_pair_lines_accumulate(self):
+        desc = parse_model_description(
+            "worlds: a b c\npreceq: a<=b\npreceq: b<=c\nrel: a~b\nrel: b~c c~a\n"
+        )
+        assert desc.order_pairs == (("a", "b"), ("b", "c"))
+        assert desc.rel_pairs == (("a", "b"), ("b", "c"), ("c", "a"))
+
     def test_load_model_closure_override(self, tmp_path):
         path = tmp_path / "m.km"
         path.write_text("worlds: a b\npreceq: a<=b\nval: p = a b\n")
@@ -300,17 +319,37 @@ class TestPacked:
         assert len({a, other}) == 2
 
     def test_valuation_is_read_only(self):
-        given = {"p": frozenset({"w"})}
-        m = replace(figure2_model(), valuation=given)
-        given["p"] = frozenset()  # the model keeps its own copy
-        assert m == figure2_model() and hash(m) == hash(figure2_model())
+        m = figure2_model()
+        assert m.valuation == {"p": frozenset({"w"})}
         with pytest.raises(TypeError):
             m.valuation["p"] = frozenset()
         with pytest.raises(TypeError):
             del m.valuation["p"]
 
+    def test_one_stored_value(self):
+        assert [f.name for f in fields(KripkeModel)] == ["packed"]
+        with pytest.raises(FrozenInstanceError):
+            figure2_model().order = frozenset()
+
+    def test_equal_whatever_the_path(self):
+        # props listed q before p, so to_model must sort them
+        params = EnumParams(max_worlds=2, props=("q", "p"))
+        pm = next(pm for pm in enumerate_packed(params) if pm.n == 2 and pm.fallible and pm.vals[0] != pm.vals[1])
+        enumerated = pm.to_model()
+        assert enumerated.packed.props == ("p", "q")
+        lines = format_model(enumerated).splitlines(keepends=True)
+        head, vals = lines[:5], lines[5:]
+        assert [v[:6] for v in vals] == ["val: p", "val: q"]
+        for val_lines in (vals, vals[::-1]):
+            m = validate_model(parse_model_description("".join(head + val_lines)))
+            assert m == enumerated and hash(m) == hash(enumerated)
+            assert m.packed == enumerated.packed
+
     def test_pickle_round_trip(self):
         m = figure2_model()
+        views = (m.worlds, m.fallible, m.order, m.relation, dict(m.valuation), m.index("v"))
         again = pickle.loads(pickle.dumps(m))
         assert again == m and hash(again) == hash(m)
         assert again.packed == m.packed
+        assert (again.worlds, again.fallible, again.order, again.relation,
+                dict(again.valuation), again.index("v")) == views

@@ -1,5 +1,6 @@
 import gc
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -163,6 +164,21 @@ class TestCheckProof:
         assert verdict.accepted
         assert str(verdict) == "ACCEPTED"
 
+    def test_scripts_hashable_and_immutable(self):
+        script = builtin_scripts()["n_in_ckb"]
+        assert hash(script) == hash(parse_proof_script(data_path("n_in_ckb.proof").read_text()))
+        again = pickle.loads(pickle.dumps(script))
+        assert again == script and hash(again) == hash(script)
+        step = next(s for s in script.steps if isinstance(s, AxiomInst))
+        with pytest.raises(TypeError):
+            step.assignment["A"] = FALSE
+        given = {"A": P, "B": FALSE}
+        a = AxiomInst("K_BOX", given, step.formula)
+        given["A"] = FALSE  # the step keeps its own copy
+        b = AxiomInst("K_BOX", {"B": FALSE, "A": P}, step.formula)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != AxiomInst("K_BOX", given, step.formula)
+
     def test_shipped_file_matches_builtin(self):
         # every data/*.proof file is a builtin, and every one is accepted
         builtins = builtin_scripts()
@@ -280,6 +296,12 @@ class TestProofFormat:
             parse_proof_script("goal: p\n1. taut p -> p\n")
         with pytest.raises(ProofFormatError):
             parse_proof_script("logic: CK\n1. taut p -> p\n")
+
+    def test_repeated_headers(self):
+        with pytest.raises(ProofFormatError, match="^line 2: repeated 'logic:' header$"):
+            parse_proof_script("logic: CK\nlogic: CKB\ngoal: p\n1. taut p -> p\n")
+        with pytest.raises(ProofFormatError, match="^line 3: repeated 'goal:' header$"):
+            parse_proof_script("logic: CK\ngoal: p\ngoal: q\n1. taut p -> p\n")
 
     def test_step_numbering_enforced(self):
         with pytest.raises(ProofFormatError):

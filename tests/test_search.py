@@ -350,7 +350,8 @@ class TestFindCountermodel:
                 failing = ((1 << pm.n) - 1) & ~eval_packed(pm, f)
                 if failing:
                     world = (failing & -failing).bit_length() - 1
-                    return Counterexample(pm.to_model(), pm.world_names()[world])
+                    m = pm.to_model()
+                    return Counterexample(m, m.worlds[world])
                 examined += 1
             return examined
 

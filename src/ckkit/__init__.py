@@ -53,5 +53,5 @@ KERNEL_BACKEND = "python"
 
 
 def data_path(name: str):
-    """Path to a shipped data file (fig2.km, n_in_ckb.proof)."""
+    """Path to a shipped data file: fig2.km or a proof script such as n_in_ckb.proof."""
     return resources.files(__name__) / "data" / name

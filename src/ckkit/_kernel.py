@@ -15,7 +15,7 @@ one frame that depends on s alone, so the batch kernel reads it from the
 frame's avoid table (``avoid_tables``), 2**n masks indexed by s: one
 gather per opcode across all models.  The tables grow as 2**n, so
 batches have at most ``MAX_BATCH_WORLDS`` worlds (2 KB per frame and
-relation); the one-model path keeps ``semantics.MAX_WORLDS``.
+relation); the one-model path has no world cap.
 
 Opcodes (args is the atom's prop index for OP_ATOM, -1 for a proposition
 missing from the model's valuation, unused otherwise):

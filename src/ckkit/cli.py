@@ -40,11 +40,11 @@ def _load_model(args) -> kripke.KripkeModel:
         raise CliError(str(exc))
 
 
-def _parse_formula(text: str):
+def _parse_formula(text: str, where: str = ""):
     try:
         return parse(text)
     except ParseError as exc:
-        raise CliError(f"cannot parse formula: {exc}")
+        raise CliError(f"cannot parse formula: {where}{exc}")
 
 
 def _formula_args(args) -> list:
@@ -57,10 +57,10 @@ def _formula_args(args) -> list:
     if args.formulas_file:
         try:
             with open(args.formulas_file, "r", encoding="utf-8") as fh:
-                for line in fh:
+                for lineno, line in enumerate(fh, start=1):
                     line = line.strip()
                     if line and not line.startswith("#"):
-                        out.append(_parse_formula(line))
+                        out.append(_parse_formula(line, f"line {lineno}: "))
         except (OSError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read formulas file: {exc}")
     if not out:
@@ -215,14 +215,10 @@ def _cmd_compare_classes(args) -> int:
 
 def _cmd_check_proof(args) -> int:
     try:
-        script = proofkit.load_proof_script(args.path)
+        verdict = proofkit.check_proof(proofkit.load_proof_script(args.path))
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read proof: {exc}")
-    except (proofkit.ProofFormatError, ParseError) as exc:
-        raise CliError(str(exc))
-    try:
-        verdict = proofkit.check_proof(script)
-    except proofkit.ProofSearchTooDeep as exc:
+    except (proofkit.ProofFormatError, proofkit.ProofSearchTooDeep) as exc:
         raise CliError(str(exc))
     print(verdict)
     return 0 if verdict.accepted else 1

@@ -28,9 +28,10 @@ prints and ``parse`` reads back.
 
 Formulas built in code may be deeper: every function here that walks a
 formula, and ``semantics.compile_formula``, loops over one iterative walk;
-``==`` and ``repr`` loop over nodes too, and ``hash`` returns the value
-each node stored when it was built.  Only ``proofkit.ipc_valid`` recurses,
-and it raises ``proofkit.ProofSearchTooDeep`` past the recursion limit.
+``==``, ``repr`` and pickling loop over nodes too, copying returns the
+node itself, and ``hash`` returns the value each node stored when it was
+built.  Only ``proofkit.ipc_valid`` recurses, and it raises
+``proofkit.ProofSearchTooDeep`` past the recursion limit.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ class _Node:
     hash of its fields (``hash((left, right))``, ``hash((inner,))``,
     ``hash((name,))`` or ``hash(())``), so sets of formulas iterate in the
     same order, and G4ip searches in the same order, as with dataclasses.
-    ``==`` compares operands only once types and hashes agree, and neither
-    ``==`` nor ``repr`` recurses.  ``__match_args__`` names the fields.
+    ``==`` compares operands only once types and hashes agree; ``==``,
+    ``repr`` and pickling do not recurse.  ``__match_args__`` names fields.
     """
 
     __slots__ = ("_hash",)
@@ -133,10 +134,35 @@ class _Node:
                 todo.append(f"{', ' if k else ''}{names[k]}=")
         return "".join(out)
 
+    def __deepcopy__(self, memo=None):
+        return self
+
+    __copy__ = __deepcopy__
+
     def __reduce__(self):
-        # Rebuilt from the operands, so the hash is that of the loading
-        # process (string hashes differ between processes).
-        return type(self), tuple([getattr(self, name) for name in self.__match_args__])
+        # A flat table, one entry per distinct node object, operands first:
+        # its type, then an atom's name or the operands' entry numbers.  It
+        # loads at any depth, keeps shared nodes shared, and hashes afresh:
+        # string hashes differ between processes.
+        number: dict[int, int] = {}
+        table = []
+        todo = [self]
+        while todo:
+            g = todo[-1]
+            if not isinstance(g, _Node):
+                raise TypeError(f"not a formula: {g!r}")
+            kind = type(g)
+            operands = () if kind is Atom else [getattr(g, name) for name in kind.__match_args__]
+            pending = [x for x in operands if id(x) not in number]
+            if pending:
+                todo += pending
+                continue
+            todo.pop()
+            if id(g) not in number:
+                number[id(g)] = len(table)
+                entry = [g.name] if kind is Atom else [number[id(x)] for x in operands]
+                table.append((kind, *entry))
+        return _from_table, (tuple(table),)
 
 
 class Atom(_Node):
@@ -172,6 +198,14 @@ class _Unary(_Node):
     def __init__(self, inner: "Formula"):
         _set_inner(self, inner)
         _set_hash(self, hash((inner,)))
+
+
+def _from_table(table: tuple) -> "Formula":
+    """The last node of a ``_Node.__reduce__`` table."""
+    nodes: list[Formula] = []
+    for kind, *operands in table:
+        nodes.append(kind(*operands) if kind is Atom else kind(*[nodes[k] for k in operands]))
+    return nodes[-1]
 
 
 # The constructors write their slots through the slot descriptors, which

@@ -507,38 +507,20 @@ def format_model(m: KripkeModel) -> str:
 
 def _order_cover_edges(m: KripkeModel) -> list[tuple[str, str]]:
     """Dashed edges to draw for <=: transitive reduction, cycles kept as cycles."""
-    pm = m.packed
-    names = m.worlds
-    n = pm.n
-    # equivalence classes of mutual <=
-    cls_of: dict[int, int] = {}
-    classes: list[list[int]] = []
-    for i in range(n):
-        for j in range(i):
-            if (pm.up[i] >> j) & 1 and (pm.up[j] >> i) & 1:
-                cls_of[i] = cls_of[j]
-                classes[cls_of[j]].append(i)
-                break
-        else:
-            cls_of[i] = len(classes)
-            classes.append([i])
+    up, names = m.packed.up, m.worlds
+    same = [u & d for u, d in zip(up, _in_rows(up))]  # each world's class of mutual <=
+    reps = [w for w in range(m.packed.n) if same[w] & -same[w] == 1 << w]  # lowest of each
+    rep_mask = sum(1 << w for w in reps)
+    above = [u & ~s & rep_mask for u, s in zip(up, same)]  # the classes strictly above, by rep
     edges: list[tuple[str, str]] = []
-    for members in classes:
-        if len(members) > 1:
-            ring = sorted(members)
-            for a, b in zip(ring, ring[1:] + ring[:1]):
-                edges.append((names[a], names[b]))
-    # strict order on class representatives
-    reps = [min(members) for members in classes]
-    below = {
-        (a, b)
-        for a in range(len(reps))
-        for b in range(len(reps))
-        if a != b and (pm.up[reps[a]] >> reps[b]) & 1
-    }
-    for a, b in sorted(below):
-        if not any((a, c) in below and (c, b) in below for c in range(len(reps))):
-            edges.append((names[reps[a]], names[reps[b]]))
+    for w in reps:
+        ring = list(bits(same[w]))
+        edges += [(names[a], names[b]) for a, b in zip(ring, ring[1:] + ring[:1]) if a != b]
+    for w in reps:
+        covered = 0
+        for v in bits(above[w]):
+            covered |= above[v]
+        edges += [(names[w], names[v]) for v in bits(above[w] & ~covered)]
     return edges
 
 

@@ -9,11 +9,14 @@ proves the declared goal; rejection names the first failing step.
 ``ipc_valid`` decides intuitionistic propositional validity by
 contraction-free backward proof search (Dyckhoff's G4ip calculus).  Box
 and diamond subformulas are treated as opaque atoms, identical
-subformulas sharing one.  Formula nodes store their hashes (see
-``formula``), so G4ip's sets and memo hash a sequent without walking its
-formulas.  The search itself recurses, once per sequent on a branch, and
-raises ``ProofSearchTooDeep`` (a ``ValueError``) where it would pass the
-interpreter's recursion limit; ``check_proof`` passes that error on.
+subformulas sharing one.  After the goal's invertible rules, one scan
+over the hypotheses applies the first invertible left rule that fits,
+and scans again; the non-invertible rules come last.  Formula nodes
+store their hashes (see ``formula``), so G4ip's sets and memo hash a
+sequent without walking its formulas.  The search itself recurses, once
+per sequent on a branch, and raises ``ProofSearchTooDeep`` (a
+``ValueError``) where it would pass the interpreter's recursion limit;
+``check_proof`` passes that error on.
 """
 
 from __future__ import annotations
@@ -76,60 +79,51 @@ def _prove(gamma: frozenset, goal: Formula) -> bool:
 
 
 def _prove_uncached(gamma: set, goal: Formula) -> bool:
-    # Saturate with invertible rules first.
+    if FALSE in gamma or goal in gamma:
+        return True
+    kind = type(goal)
+    if kind is And:
+        g = frozenset(gamma)
+        return _prove(g, goal.left) and _prove(g, goal.right)
+    if kind is Implies:
+        return _prove(frozenset(gamma | {goal.left}), goal.right)
+    # The invertible left rules: the first that fits a hypothesis f replaces
+    # it by those in new; a scan that finds none ends the saturation.
     while True:
+        for f in list(gamma):
+            kind = type(f)
+            if kind is And:
+                new = (f.left, f.right)
+            elif kind is Or:
+                gamma.remove(f)
+                return (_prove(frozenset(gamma | {f.left}), goal)
+                        and _prove(frozenset(gamma | {f.right}), goal))
+            elif kind is not Implies:
+                continue
+            elif type(a := f.left) is Falsum:
+                new = ()  # falsum is never in gamma here: f is inert
+            elif a in gamma:
+                new = (f.right,)
+            elif type(a) is And:
+                new = (Implies(a.left, Implies(a.right, f.right)),)
+            elif type(a) is Or:
+                new = (Implies(a.left, f.right), Implies(a.right, f.right))
+            else:
+                continue
+            gamma.remove(f)
+            gamma.update(new)
+            break
+        else:
+            break
         if FALSE in gamma or goal in gamma:
             return True
-        if isinstance(goal, And):
-            g = frozenset(gamma)
-            return _prove(g, goal.left) and _prove(g, goal.right)
-        if isinstance(goal, Implies):
-            return _prove(frozenset(gamma | {goal.left}), goal.right)
-        progress = False
-        for f in list(gamma):
-            if isinstance(f, And):
-                gamma.remove(f)
-                gamma.add(f.left)
-                gamma.add(f.right)
-                progress = True
-                break
-            if isinstance(f, Or):
-                gamma.remove(f)
-                return _prove(frozenset(gamma | {f.left}), goal) and _prove(
-                    frozenset(gamma | {f.right}), goal
-                )
-            if isinstance(f, Implies):
-                a = f.left
-                if isinstance(a, Falsum):
-                    # falsum is never in gamma here, so this hypothesis is inert
-                    gamma.remove(f)
-                    progress = True
-                    break
-                if a in gamma:
-                    gamma.remove(f)
-                    gamma.add(f.right)
-                    progress = True
-                    break
-                if isinstance(a, And):
-                    gamma.remove(f)
-                    gamma.add(Implies(a.left, Implies(a.right, f.right)))
-                    progress = True
-                    break
-                if isinstance(a, Or):
-                    gamma.remove(f)
-                    gamma.add(Implies(a.left, f.right))
-                    gamma.add(Implies(a.right, f.right))
-                    progress = True
-                    break
-        if not progress:
-            break
     # Non-invertible choices.
-    if isinstance(goal, Or):
+    if type(goal) is Or:
         g = frozenset(gamma)
         if _prove(g, goal.left) or _prove(g, goal.right):
             return True
     for f in gamma:
-        if isinstance(f, Implies) and isinstance(f.left, Implies):
+        if type(f) is Implies and type(f.left) is Implies:
             rest = frozenset(gamma - {f})
             nested = f.left
             if _prove(rest | {Implies(nested.right, f.right)}, nested) and _prove(
@@ -278,8 +272,8 @@ def check_proof(s: ProofScript) -> Verdict:
 def builtin_scripts() -> dict[str, ProofScript]:
     """Shipped proof scripts, keyed by name: ``data/<name>.proof``.
 
-    ``n_in_ckb`` derives the axiom N (no diamond-falsum) inside CKB from
-    K-dia and B-dia.
+    ``dp_in_ckb``, ``fs_in_ckb`` and ``n_in_ckb`` derive in CKB the IK
+    axioms DP and FS (at A=p, B=q) and N: every axiom IKB adds to CKB.
     """
     data = resources.files(__package__) / "data"
     return {
@@ -310,59 +304,56 @@ def parse_proof_script(text: str) -> ProofScript:
         k. mp i j <formula>
         k. nec i <formula>
     """
-    logic: str | None = None
-    goal: Formula | None = None
+    headers: dict[str, str | Formula] = {}
     steps: list[ProofStep] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("logic:"):
-            if logic is not None:
-                raise ProofFormatError(f"line {lineno}: repeated 'logic:' header")
-            logic = line.partition(":")[2].strip()
-            continue
-        if line.startswith("goal:"):
-            if goal is not None:
-                raise ProofFormatError(f"line {lineno}: repeated 'goal:' header")
-            goal = parse(line.partition(":")[2].strip())
-            continue
-        m = _STEP_RE.match(line)
-        if m is None:
-            raise ProofFormatError(f"line {lineno}: cannot parse step {line!r}")
-        number, kind, rest = int(m.group(1)), m.group(2), m.group(3).strip()
-        if number != len(steps) + 1:
-            raise ProofFormatError(f"line {lineno}: expected step {len(steps) + 1}, got {number}")
-        if kind == "taut":
-            steps.append(Taut(parse(rest)))
-        elif kind == "axiom":
-            am = _AXIOM_RE.match(rest)
-            if am is None:
-                raise ProofFormatError(f"line {lineno}: cannot parse axiom step")
-            assignment: dict[str, Formula] = {}
-            body = am.group(2).strip()
-            if body:
-                for entry in body.split(";"):
-                    var, eq, ftext = entry.partition("=")
-                    if not eq:
-                        raise ProofFormatError(f"line {lineno}: bad assignment entry {entry!r}")
-                    assignment[var.strip()] = parse(ftext)
-            steps.append(AxiomInst(am.group(1), assignment, parse(am.group(3))))
-        elif kind == "mp":
-            parts = rest.split(None, 2)
-            if len(parts) != 3:
-                raise ProofFormatError(f"line {lineno}: mp needs two indices and a formula")
-            steps.append(MP(int(parts[0]), int(parts[1]), parse(parts[2])))
-        else:  # nec
-            parts = rest.split(None, 1)
-            if len(parts) != 2:
-                raise ProofFormatError(f"line {lineno}: nec needs an index and a formula")
-            steps.append(Nec(int(parts[0]), parse(parts[1])))
-    if logic is None:
-        raise ProofFormatError("missing 'logic:' header")
-    if goal is None:
-        raise ProofFormatError("missing 'goal:' header")
-    return ProofScript(logic=logic, steps=tuple(steps), goal=goal)
+        try:
+            key, _, value = line.partition(":")
+            if key in ("logic", "goal"):
+                if key in headers:
+                    raise ProofFormatError(f"repeated '{key}:' header")
+                headers[key] = parse(value) if key == "goal" else value.strip()
+                continue
+            m = _STEP_RE.match(line)
+            if m is None:
+                raise ProofFormatError(f"cannot parse step {line!r}")
+            number, kind, rest = int(m.group(1)), m.group(2), m.group(3).strip()
+            if number != len(steps) + 1:
+                raise ProofFormatError(f"expected step {len(steps) + 1}, got {number}")
+            if kind == "taut":
+                steps.append(Taut(parse(rest)))
+            elif kind == "axiom":
+                am = _AXIOM_RE.match(rest)
+                if am is None:
+                    raise ProofFormatError("cannot parse axiom step")
+                assignment: dict[str, Formula] = {}
+                body = am.group(2).strip()
+                if body:
+                    for entry in body.split(";"):
+                        var, eq, ftext = entry.partition("=")
+                        if not eq:
+                            raise ProofFormatError(f"bad assignment entry {entry!r}")
+                        assignment[var.strip()] = parse(ftext)
+                steps.append(AxiomInst(am.group(1), assignment, parse(am.group(3))))
+            elif kind == "mp":
+                parts = rest.split(None, 2)
+                if len(parts) != 3:
+                    raise ProofFormatError("mp needs two indices and a formula")
+                steps.append(MP(int(parts[0]), int(parts[1]), parse(parts[2])))
+            else:  # nec
+                parts = rest.split(None, 1)
+                if len(parts) != 2:
+                    raise ProofFormatError("nec needs an index and a formula")
+                steps.append(Nec(int(parts[0]), parse(parts[1])))
+        except ValueError as exc:  # ParseError, a bad index, or a ProofFormatError
+            raise ProofFormatError(f"line {lineno}: {exc}") from None
+    for key in ("logic", "goal"):
+        if key not in headers:
+            raise ProofFormatError(f"missing '{key}:' header")
+    return ProofScript(logic=headers["logic"], steps=tuple(steps), goal=headers["goal"])
 
 
 def load_proof_script(path) -> ProofScript:

@@ -28,9 +28,10 @@ at once as bitmasks, by one of the two evaluators in ckkit._kernel:
 A ``ModelBatch`` holds each frame's rows and avoid tables once, with a
 frame index per model; ``ModelBatch.of`` makes one frame of each run of
 consecutive models on equal rows.  Batches have at most
-``_kernel.MAX_BATCH_WORLDS`` (8) worlds, single models ``MAX_WORLDS``
-(63).  ``compile_formula`` is a loop over ``formula._postorder``, so
-formulas built in code compile and evaluate at any depth.
+``_kernel.MAX_BATCH_WORLDS`` (8) worlds; single models have no cap,
+since ``eval_model`` works on Python ints, which have no width.
+``compile_formula`` is a loop over ``formula._postorder``, so formulas
+built in code compile and evaluate at any depth.
 """
 
 from __future__ import annotations
@@ -68,9 +69,6 @@ __all__ = [
     "eval_diamond_unguarded",
     "truth_mask",
 ]
-
-MAX_WORLDS = 63
-
 
 @dataclass(frozen=True)
 class Program:
@@ -185,8 +183,6 @@ def eval_packed_batch(
 
 def eval_packed(pm: PackedModel, f: Formula, classical_diamond: bool = False) -> int:
     """Truth mask of f over a single packed model."""
-    if pm.n > MAX_WORLDS:
-        raise ValueError(f"at most {MAX_WORLDS} worlds supported")
     prog = compile_formula(f, {p: k for k, p in enumerate(pm.props)}, classical_diamond)
     return _kernel.eval_model(prog.ops, prog.args, pm.n, pm.up, pm.rel, pm.fallible, pm.vals)
 

@@ -5,6 +5,7 @@ going through the package's bitmask kernel or proof search, so it can
 serve as a second opinion.
 """
 
+import random
 from functools import reduce
 from itertools import product
 
@@ -19,6 +20,7 @@ from ckkit.formula import (
     Or,
     analyze,
 )
+from ckkit.kripke import ModelDescription, validate_model
 from ckkit.proofkit import AxiomInst, MP, Nec, ProofScript, Taut
 
 # ---------------------------------------------------------------------------
@@ -55,6 +57,31 @@ def force(m, w, f, classical_diamond=False):
             for v in up(w)
         )
     raise TypeError(f)
+
+
+def wide_model(n, seed):
+    """A model of n worlds w0..w{n-1}, for any n: the order a random tree
+    rooted at w0, sparse random R, props p and q, some fallible worlds."""
+    rng = random.Random(seed)
+    parent = [rng.randrange(i) for i in range(1, n)]  # of worlds 1..n-1
+    above = [{i} for i in range(n)]
+    for i in reversed(range(1, n)):
+        above[parent[i - 1]] |= above[i]
+    fallible = above[rng.randrange(n // 2, n)]
+    # 2n random R edges, less those that would leave the fallible worlds
+    rel = [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)]
+    rel = [(a, b) for a, b in rel if a not in fallible or b in fallible]
+    valuation = {
+        p: fallible.union(*(above[rng.randrange(n)] for _ in range(5))) for p in ("p", "q")
+    }
+    name = lambda i: f"w{i}"
+    return validate_model(ModelDescription(
+        worlds=tuple(map(name, range(n))),
+        fallible=tuple(map(name, fallible)),
+        order_pairs=tuple((name(parent[i - 1]), name(i)) for i in range(1, n)),
+        rel_pairs=tuple((name(a), name(b)) for a, b in rel),
+        valuation={p: tuple(map(name, ws)) for p, ws in valuation.items()},
+    ))
 
 
 # ---------------------------------------------------------------------------

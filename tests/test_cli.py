@@ -7,9 +7,10 @@ import pytest
 import ckkit
 from ckkit import data_path
 from ckkit.cli import main
-from ckkit.formula import MAX_DEPTH
+from ckkit.formula import MAX_DEPTH, parse
+from ckkit.kripke import format_model
 
-from helpers_logic import NESTINGS, nested_text
+from helpers_logic import NESTINGS, force, nested_text, wide_model
 
 FIG2 = str(data_path("fig2.km"))
 NPROOF = str(data_path("n_in_ckb.proof"))
@@ -112,6 +113,15 @@ class TestEval:
         )
         assert code == 1 and "zz" in err
 
+    def test_seventy_worlds(self, tmp_path, capsys):
+        m = wide_model(70, seed=70)
+        path = tmp_path / "wide.km"
+        path.write_text(format_model(m))
+        text = "p -> [] <> p"
+        for w in m.worlds[::7]:
+            expected = "true\n" if force(m, w, parse(text)) else "false\n"
+            assert run(capsys, "eval", "--model", str(path), "--world", w, "--formula", text) == (0, expected, "")
+
 
 class TestClassify:
     def test_figure2(self, capsys):
@@ -176,6 +186,13 @@ class TestFindCountermodel:
         )
         assert code == 2  # second formula fails
         assert out.startswith("NONE ")
+
+    def test_formulas_file_error_names_its_line(self, tmp_path, capsys):
+        f = tmp_path / "fs.txt"
+        f.write_text("p\nq ->\n")
+        code, out, err = run(capsys, "find-countermodel", "--formulas-file", str(f), "--props", "p,q")
+        assert (code, out) == (1, "")
+        assert err == "error: cannot parse formula: line 2: unexpected end of input (at position 4)\n"
 
     def test_no_formula(self, capsys):
         code, _, err = run(capsys, "find-countermodel", "--max-worlds", "2")
@@ -315,6 +332,23 @@ class TestCheckProof:
         bad.write_text("1. taut p -> p\n")
         code, _, err = run(capsys, "check-proof", str(bad))
         assert code == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("text, message", [
+        ("1. mp x 2 p", "line 3: invalid literal for int() with base 10: 'x'"),
+        ("1. taut p ->", "line 3: unexpected end of input (at position 4)"),
+        ("1. taut p -> p\n2. nec 1 [] (p -> p", "line 4: expected ')', got None (at position 10)"),
+    ])
+    def test_step_error_names_its_line(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.proof"
+        bad.write_text(f"logic: CK\ngoal: p\n{text}\n")
+        assert run(capsys, "check-proof", str(bad)) == (1, "", f"error: {message}\n")
+
+    def test_goal_error_names_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.proof"
+        bad.write_text("# a comment\nlogic: CK\ngoal: p &\n1. taut p -> p\n")
+        code, out, err = run(capsys, "check-proof", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 3: unexpected end of input")
 
     def test_not_utf8(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"

@@ -356,6 +356,24 @@ class TestNode:
             for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
                 assert type(g) is type(f) and g == f and hash(g) == hash(f)
 
+    def test_pickle_and_copy_at_any_depth(self):
+        f = spine_formula(0)[0]
+        g = pickle.loads(pickle.dumps(f))
+        assert g is not f and g == f and hash(g) == hash(f)
+        assert copy.deepcopy(f) == f
+        # each distinct node is stored once: a 60-level DAG, 2**60 atoms as
+        # a tree, pickles small and loads with its sharing intact
+        d = P
+        for _ in range(60):
+            d = And(d, d)
+        data = pickle.dumps(d)
+        assert len(data) < 2048
+        e = pickle.loads(data)
+        for _ in range(60):
+            assert type(e) is And and e.left is e.right
+            e = e.left
+        assert e == P
+
     def test_pickle_across_hash_seeds(self, tmp_path):
         # A stored hash would go stale in a process with other string hashes,
         # so a loaded formula must hash like one parsed there.

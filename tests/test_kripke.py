@@ -288,6 +288,21 @@ class TestDotExport:
         assert '"a" -> "b" [style=dashed];' in dot
         assert '"b" -> "a" [style=dashed];' in dot
 
+    def test_dashed_edges_in_order(self):
+        # cycles first, then covers between classes, each class drawn from
+        # its first world: c <= {a, b} <= d
+        m = validate_model(
+            ModelDescription(
+                worlds=("c", "a", "b", "d"),
+                order_pairs=(("a", "b"), ("b", "a"), ("c", "a"), ("b", "d")),
+            )
+        )
+        dashed = [line for line in export_dot(m).splitlines() if "dashed" in line]
+        assert dashed == [
+            f'  "{a}" -> "{b}" [style=dashed];'
+            for a, b in (("a", "b"), ("b", "a"), ("c", "a"), ("a", "d"))
+        ]
+
 
 class TestPacked:
     def test_round_trip(self):

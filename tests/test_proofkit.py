@@ -1,16 +1,20 @@
 import gc
 import os
 import pickle
+import random
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from functools import reduce
+from itertools import product
 
 import pytest
 
 import ckkit
 from ckkit import data_path, proofkit
-from ckkit.formula import And, Atom, Box, FALSE, Implies, enumerate_formulas, parse
+from ckkit.axioms import schema
+from ckkit.formula import And, Atom, Box, FALSE, Implies, enumerate_formulas, parse, substitute
 from ckkit.proofkit import (
     AxiomInst,
     MP,
@@ -29,6 +33,7 @@ from ckkit.proofkit import (
 from helpers_logic import ipc_oracle_valid, script_mutations
 
 P = Atom("p")
+Q = Atom("q")
 
 
 class TestIpcValid:
@@ -281,6 +286,43 @@ class TestCheckProof:
         for description, mutated in mutants:
             verdict = check_proof(mutated)
             assert not verdict.accepted, description
+
+
+def substitute_script(script, assignment):
+    """The script with every formula, assignments included, substituted."""
+    steps = []
+    for step in script.steps:
+        formula = substitute(step.formula, assignment)
+        if isinstance(step, AxiomInst):
+            given = {k: substitute(v, assignment) for k, v in step.assignment.items()}
+            steps.append(AxiomInst(step.name, given, formula))
+        else:
+            steps.append(replace(step, formula=formula))
+    return ProofScript(script.logic, tuple(steps), substitute(script.goal, assignment))
+
+
+@pytest.mark.parametrize("name, axiom", [("dp_in_ckb", "DP"), ("fs_in_ckb", "FS")])
+class TestDerivationsInCKB:
+    """The shipped derivations of the IK axioms DP and FS from CKB's axioms."""
+
+    def test_accepted_in_ckb_only(self, name, axiom):
+        script = builtin_scripts()[name]
+        assert script.goal == substitute(schema(axiom).shape, {"A": P, "B": Q})
+        assert str(check_proof(script)) == "ACCEPTED"
+        assert not check_proof(replace(script, logic="CK")).accepted
+
+    def test_all_single_step_corruptions_rejected(self, name, axiom):
+        mutants = list(script_mutations(builtin_scripts()[name]))
+        assert len(mutants) >= 300
+        assert [d for d, mutated in mutants if check_proof(mutated).accepted] == []
+
+    def test_substitution_instances_accepted(self, name, axiom):
+        script = builtin_scripts()[name]
+        pool = enumerate_formulas(("p", "q"), 3)
+        pairs = random.Random(1).sample(list(product(pool, repeat=2)), 200)
+        for a, b in pairs:
+            verdict = check_proof(substitute_script(script, {"p": a, "q": b}))
+            assert verdict.accepted, (a, b, verdict)
 
 
 class TestProofFormat:

@@ -11,7 +11,6 @@ from ckkit.kripke import ModelDescription, figure2_model, frame_report, validate
 from ckkit.search import EnumParams, enumerate_models, enumerate_packed, sample_models
 from ckkit.semantics import (
     EvalContext,
-    MAX_WORLDS,
     ModelBatch,
     compile_formula,
     eval_diamond_unguarded,
@@ -22,7 +21,7 @@ from ckkit.semantics import (
     valid_in_model,
 )
 
-from helpers_logic import force
+from helpers_logic import force, wide_model
 
 
 class TestGoldenModel:
@@ -157,16 +156,14 @@ class TestBatch:
     def test_empty_batch(self):
         assert eval_packed_batch([], parse("p")).size == 0
 
-    def test_world_cap(self):
-        from ckkit.kripke import PackedModel
-
-        n = MAX_WORLDS + 1
-        pm = PackedModel(
-            n=n, up=tuple(1 << i for i in range(n)), rel=(0,) * n,
-            fallible=0, props=(), vals=(),
-        )
-        with pytest.raises(ValueError):
-            eval_packed(pm, parse("false"))
+    @pytest.mark.parametrize("n", [64, 70])
+    def test_single_models_have_no_world_cap(self, n):
+        # one model evaluates on Python ints, which have no width
+        m = wide_model(n, seed=n)
+        ctx = EvalContext(m)
+        for text in ("p -> [] <> p", "<> [] q -> q", "~~p | ~p", "[] (p -> q) -> <> p -> <> q", "false"):
+            f = parse(text)
+            assert [ctx.eval(w, f) for w in m.worlds] == [force(m, w, f) for w in m.worlds], text
 
     def test_batch_world_cap(self):
         from ckkit.kripke import PackedModel

@@ -12,12 +12,12 @@ exploratory frame testing only.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
 
 from .formula import (
     Formula,
-    analyze,
     atom_names,
     enumerate_formulas,
     parse,
@@ -33,8 +33,6 @@ __all__ = [
     "LOGICS",
     "logic_axioms",
 ]
-
-from dataclasses import dataclass
 
 METAVARS = ("A", "B")
 
@@ -99,19 +97,16 @@ def instances(
     names: Iterable[str],
     atoms: Iterable[str],
     max_size: int,
-    max_depth: int | None = None,
 ) -> Iterator[Formula]:
     """Substitution instances of the named schemas, duplicate-free.
 
     Instantiating formulas range over everything built from the given
-    atoms, falsum and the connectives up to node count max_size (and
-    modal depth max_depth when given), in size-then-lexicographic order.
+    atoms, falsum and the connectives up to node count max_size, in
+    size-then-lexicographic order.
     The overall stream is deterministic: schemas in the order given,
     metavariable assignments in product order.
     """
     pool = enumerate_formulas(tuple(atoms), max_size)
-    if max_depth is not None:
-        pool = [g for g in pool if analyze(g).modal_depth <= max_depth]
     seen: set[Formula] = set()
     for name in names:
         s = schema(name)

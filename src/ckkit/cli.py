@@ -25,15 +25,10 @@ class CliError(Exception):
     pass
 
 
-def _closure_flag(value: str | None) -> bool | None:
-    if value is None:
-        return None
-    return value == "on"
-
-
 def _load_model(args) -> kripke.KripkeModel:
     try:
-        return kripke.load_model(args.model, close_order=_closure_flag(args.preceq_closure))
+        close_order = {"on": True, "off": False}.get(args.preceq_closure)
+        return kripke.load_model(args.model, close_order=close_order)
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read model: {exc}")
     except (kripke.ModelFormatError, kripke.ModelValidationError) as exc:
@@ -102,6 +97,9 @@ def _add_model_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_search_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("formula", nargs="?", default=None)
+    p.add_argument("--formula", dest="formula_opt", default=None)
+    p.add_argument("--formulas-file", default=None)
     p.add_argument("--max-worlds", type=int, default=3)
     p.add_argument("--props", default=None, help="comma-separated proposition names")
     p.add_argument("--require-symmetric", action="store_true")
@@ -128,19 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_options(p)
 
     p = sub.add_parser("find-countermodel", help="bounded countermodel search")
-    p.add_argument("formula", nargs="?", default=None)
-    p.add_argument("--formula", dest="formula_opt", default=None)
-    p.add_argument("--formulas-file", default=None)
-    p.add_argument("--class", dest="cls", choices=_CLASS_CHOICES, default="ck")
     _add_search_options(p)
+    p.add_argument("--class", dest="cls", choices=_CLASS_CHOICES, default="ck")
 
     p = sub.add_parser("compare-classes", help="countermodel verdicts under two classes")
-    p.add_argument("formula", nargs="?", default=None)
-    p.add_argument("--formula", dest="formula_opt", default=None)
-    p.add_argument("--formulas-file", default=None)
+    _add_search_options(p)
     p.add_argument("--class-a", dest="cls_a", choices=_CLASS_CHOICES, required=True)
     p.add_argument("--class-b", dest="cls_b", choices=_CLASS_CHOICES, required=True)
-    _add_search_options(p)
     p.set_defaults(cls="ck")  # the base params' class; compare_classes replaces it
 
     p = sub.add_parser("check-proof", help="check a Hilbert proof script")
@@ -174,7 +166,7 @@ def _cmd_eval(args) -> int:
     try:
         value = semantics.eval_formula(m, args.world, f)
     except KeyError as exc:
-        raise CliError(str(exc))
+        raise CliError(exc.args[0])
     print("true" if value else "false")
     return 0
 

@@ -30,14 +30,15 @@ Formulas built in code may be deeper: every function here that walks a
 formula, and ``semantics.compile_formula``, loops over one iterative walk;
 ``==``, ``repr`` and pickling loop over nodes too, copying returns the
 node itself, and ``hash`` returns the value each node stored when it was
-built.  Only ``proofkit.ipc_valid`` recurses, and it raises
+built; ``==`` takes one step per distinct pair of nodes.  Only
+``proofkit.ipc_valid`` recurses, and it raises
 ``proofkit.ProofSearchTooDeep`` past the recursion limit.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
 __all__ = [
@@ -73,8 +74,8 @@ class _Node:
     hash of its fields (``hash((left, right))``, ``hash((inner,))``,
     ``hash((name,))`` or ``hash(())``), so sets of formulas iterate in the
     same order, and G4ip searches in the same order, as with dataclasses.
-    ``==`` compares operands only once types and hashes agree; ``==``,
-    ``repr`` and pickling do not recurse.  ``__match_args__`` names fields.
+    ``==`` compares each distinct pair of operands once, after types and hashes
+    agree; ``==``, ``repr`` and pickling do not recurse.  ``__match_args__`` names fields.
     """
 
     __slots__ = ("_hash",)
@@ -99,6 +100,7 @@ class _Node:
         if type(self) is Atom:  # the common case: atoms built apart
             return self.name == other.name
         todo = [(self, other)]
+        seen = set()  # the operand pairs pushed: each is compared once
         while todo:
             a, b = todo.pop()
             for name in a.__match_args__:
@@ -106,10 +108,15 @@ class _Node:
                 y = getattr(b, name)
                 if x is y:
                     continue
-                if isinstance(x, _Node):
+                if type(x) is Atom:
+                    if type(y) is not Atom or x.name != y.name:
+                        return False
+                elif isinstance(x, _Node):
                     if type(x) is not type(y) or x._hash != y._hash:
                         return False
-                    todo.append((x, y))
+                    if (id(x), id(y)) not in seen:
+                        seen.add((id(x), id(y)))
+                        todo.append((x, y))
                 elif x != y:
                     return False
         return True
@@ -248,8 +255,6 @@ def neg(f: Formula) -> Formula:
     return Implies(f, FALSE)
 
 
-RESERVED = frozenset({"false", "true"})
-
 MAX_DEPTH = 100
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -363,8 +368,6 @@ class _Parser:
             self.parens -= 1
             return f
         if _IDENT_RE.fullmatch(tok):
-            if tok in RESERVED:
-                raise ParseError(f"reserved word {tok!r} used as atom", pos)
             return Atom(tok)
         raise ParseError(f"unexpected token {tok!r}", pos)
 
@@ -481,8 +484,8 @@ def atom_names(f: Formula) -> frozenset[str]:
 class FormulaStats:
     modal_depth: int
     size: int
-    atoms: frozenset[str] = field(default_factory=frozenset)
-    diamond_free: bool = True
+    atoms: frozenset[str]
+    diamond_free: bool
 
 
 def analyze(f: Formula) -> FormulaStats:

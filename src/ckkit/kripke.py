@@ -16,12 +16,14 @@ confluence conditions and derives class membership from ``CLASSES``.
 A validated ``KripkeModel`` is one value, its canonical ``PackedModel``;
 ``_checked`` is the only code that turns world names into masks, and the
 name sets a ``KripkeModel`` shows are derived from the masks when read.
+The golden model ``figure2_model`` is the shipped ``data/fig2.km``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from importlib import resources
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -36,7 +38,6 @@ __all__ = [
     "model_violations",
     "frame_report",
     "figure2_model",
-    "figure2_description",
     "parse_model_description",
     "load_model",
     "format_model",
@@ -375,29 +376,6 @@ def frame_report(m: KripkeModel) -> FrameReport:
 
 
 # ---------------------------------------------------------------------------
-# golden model
-
-def figure2_description() -> ModelDescription:
-    """Three worlds w, v, v2; R symmetric between w and v; v below v2.
-
-    The order is the identity plus (v, v2): the all-pairs order would break
-    valuation monotonicity for V(p) = {w}.
-    """
-    return ModelDescription(
-        worlds=("w", "v", "v2"),
-        fallible=(),
-        order_pairs=(("v", "v2"),),
-        rel_pairs=(("w", "v"), ("v", "w")),
-        valuation={"p": ("w",)},
-        close_order=True,
-    )
-
-
-def figure2_model() -> KripkeModel:
-    return validate_model(figure2_description())
-
-
-# ---------------------------------------------------------------------------
 # file format
 
 class ModelFormatError(ValueError):
@@ -436,22 +414,17 @@ def parse_model_description(text: str) -> ModelDescription:
             worlds = tuple(value.split())
         elif key == "fallible":
             fallible = tuple(value.split())
-        elif key == "preceq":
+        elif key in ("preceq", "rel"):
+            sep, pairs = ("<=", order_pairs) if key == "preceq" else ("~", rel_pairs)
             for item in value.split():
-                if "<=" not in item:
-                    raise ModelFormatError(f"line {lineno}: bad preceq pair {item!r}")
-                a, _, b = item.partition("<=")
-                order_pairs.append((a, b))
+                if sep not in item:
+                    raise ModelFormatError(f"line {lineno}: bad {key} pair {item!r}")
+                a, _, b = item.partition(sep)
+                pairs.append((a, b))
         elif key == "preceq-closure":
             if value not in ("on", "off"):
                 raise ModelFormatError(f"line {lineno}: preceq-closure must be on or off")
             close_order = value == "on"
-        elif key == "rel":
-            for item in value.split():
-                if "~" not in item:
-                    raise ModelFormatError(f"line {lineno}: bad rel pair {item!r}")
-                a, _, b = item.partition("~")
-                rel_pairs.append((a, b))
         elif key == "val":
             if "=" not in value:
                 raise ModelFormatError(f"line {lineno}: expected 'val: P = worlds...'")
@@ -500,6 +473,12 @@ def format_model(m: KripkeModel) -> str:
     for p, mask in zip(pm.props, pm.vals):
         lines.append(f"val: {p} = " + " ".join(names[i] for i in bits(mask)))
     return "\n".join(lines) + "\n"
+
+
+def figure2_model() -> KripkeModel:
+    """The shipped ``data/fig2.km``, parsed and validated like any ``.km`` file."""
+    text = (resources.files(__package__) / "data" / "fig2.km").read_text(encoding="utf-8")
+    return validate_model(parse_model_description(text))
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ __all__ = [
     "enumerate_models",
     "enumerate_packed",
     "enumerate_batches",
-    "count_preorders",
     "find_countermodel",
     "compare_classes",
     "ClassComparison",
@@ -143,10 +142,6 @@ def preorders(n: int) -> list[tuple[int, ...]]:
     # off-diagonal bit b maps to a higher full-mask bit than bit b - 1, so
     # ascending choice is ascending full-bitmask order
     return out
-
-
-def count_preorders(n: int) -> int:
-    return len(preorders(n))
 
 
 @cache

@@ -8,7 +8,7 @@ from ckkit.axioms import (
     metavariables,
     schema,
 )
-from ckkit.formula import FALSE, analyze, parse, render, substitute
+from ckkit.formula import FALSE, parse, render, substitute
 
 
 class TestCatalog:
@@ -88,14 +88,6 @@ class TestInstances:
         # B_DIA and FIVE_DIA instances overlap only if shapes coincide; N twice is deduped
         got = list(instances(["N", "N"], ["p"], 2))
         assert got == [parse("<> false -> false")]
-
-    def test_max_depth_filter(self):
-        got = list(instances(["B_BOX"], ["p"], 3, max_depth=0))
-        # instantiating formulas are propositional only
-        stripped = {f.left for f in got}  # A -> [] <> A: left is the instance
-        assert all(analyze(g).modal_depth == 0 for g in stripped)
-        assert parse("p -> [] <> p") in got
-        assert parse("[] p -> [] <> [] p") not in got
 
     def test_instance_shapes(self):
         for f in instances(["FS"], ["p"], 2):

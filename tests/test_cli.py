@@ -111,7 +111,7 @@ class TestEval:
         code, _, err = run(
             capsys, "eval", "--model", FIG2, "--world", "zz", "--formula", "p"
         )
-        assert code == 1 and "zz" in err
+        assert (code, err) == (1, "error: unknown world 'zz'\n")
 
     def test_seventy_worlds(self, tmp_path, capsys):
         m = wide_model(70, seed=70)
@@ -210,6 +210,14 @@ class TestFindCountermodel:
             capsys, "find-countermodel", "p", "--max-worlds", "7"
         )
         assert code == 1 and "cap" in err
+
+    @pytest.mark.parametrize("command", [
+        ("find-countermodel",),
+        ("compare-classes", "--class-a", "ckb", "--class-b", "ikb"),
+    ])
+    def test_no_worlds(self, capsys, command):
+        code, out, err = run(capsys, *command, "p", "--max-worlds", "0")
+        assert (code, out, err) == (1, "", "error: max_worlds must be at least 1\n")
 
     def test_duplicate_props(self, capsys):
         code, out, err = run(capsys, "find-countermodel", "p -> p", "--props", "p,p")
@@ -320,6 +328,13 @@ class TestCheckProof:
         code, out, _ = run(capsys, "check-proof", NPROOF)
         assert (code, out) == (0, "ACCEPTED\n")
 
+    def test_index_not_backwards(self, tmp_path, capsys):
+        bad = tmp_path / "bad.proof"
+        bad.write_text("logic: CK\ngoal: [] p\n1. nec 1 [] p\n")
+        assert run(capsys, "check-proof", str(bad)) == (
+            1, "REJECTED step 1: step index 1 does not refer strictly backwards\n", ""
+        )
+
     def test_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.proof"
         bad.write_text("logic: CK\ngoal: p\n1. taut p\n")
@@ -336,6 +351,7 @@ class TestCheckProof:
     @pytest.mark.parametrize("text, message", [
         ("1. mp x 2 p", "line 3: invalid literal for int() with base 10: 'x'"),
         ("1. taut p ->", "line 3: unexpected end of input (at position 4)"),
+        ("1. nec 1", "line 3: nec needs an index and a formula"),
         ("1. taut p -> p\n2. nec 1 [] (p -> p", "line 4: expected ')', got None (at position 10)"),
     ])
     def test_step_error_names_its_line(self, tmp_path, capsys, text, message):
@@ -391,6 +407,13 @@ class TestExportDot:
         text = out_path.read_text()
         assert text.startswith("digraph model {")
         assert '"w" -> "v";' in text
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "m.dot"
+        code, out, err = run(capsys, "export-dot", "--model", FIG2, "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write output: ")
+        assert not out_path.parent.exists()
 
 
 class TestUsage:

@@ -89,6 +89,11 @@ class TestParse:
     def test_keyword_prefix_is_an_atom(self):
         assert parse("falseish") == Atom("falseish")
 
+    def test_unexpected_token(self):
+        with pytest.raises(ParseError) as exc:
+            parse(")")
+        assert str(exc.value) == "unexpected token ')' (at position 0)"
+
     def test_dangling_unary(self):
         with pytest.raises(ParseError):
             parse("p & ~")
@@ -373,6 +378,24 @@ class TestNode:
             assert type(e) is And and e.left is e.right
             e = e.left
         assert e == P
+
+    def test_eq_on_shared_subformulas(self):
+        # a 60-level DAG, 2**60 atoms as a tree: == compares each distinct
+        # pair of nodes once, so it answers at once whatever the sharing
+        def dag(leaf):
+            d = leaf
+            for _ in range(60):
+                d = And(d, d)
+            return d
+
+        d = dag(P)
+        copied = pickle.loads(pickle.dumps(d))
+        assert copied is not d and copied == d and not copied != d
+        assert dag(P) == d
+        # the same DAG with its one leaf changed
+        assert dag(Q) != d and not dag(Q) == d
+        assert And(d, copied) == And(copied, d)
+        assert And(d, dag(Q)) != And(copied, d)
 
     def test_pickle_across_hash_seeds(self, tmp_path):
         # A stored hash would go stale in a process with other string hashes,

@@ -9,7 +9,6 @@ from ckkit.kripke import (
     ModelDescription,
     ModelValidationError,
     export_dot,
-    figure2_description,
     figure2_model,
     format_model,
     frame_report,
@@ -220,6 +219,20 @@ class TestFileFormat:
         ]:
             with pytest.raises(ModelFormatError):
                 parse_model_description(text)
+
+    @pytest.mark.parametrize("line, message", [
+        ("preceq-closure: maybe", "line 2: preceq-closure must be on or off"),
+        ("preceq: ab", "line 2: bad preceq pair 'ab'"),
+        ("rel: ab", "line 2: bad rel pair 'ab'"),
+        ("rel: a<=b", "line 2: bad rel pair 'a<=b'"),
+        ("val: p a", "line 2: expected 'val: P = worlds...'"),
+    ])
+    def test_error_messages(self, line, message):
+        from ckkit.kripke import ModelFormatError
+
+        with pytest.raises(ModelFormatError) as exc:
+            parse_model_description(f"worlds: a b\n{line}\n")
+        assert str(exc.value) == message
 
     def test_single_valued_keys_once(self):
         from ckkit.kripke import ModelFormatError

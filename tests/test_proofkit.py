@@ -271,6 +271,10 @@ class TestCheckProof:
         script = ProofScript(logic="CK", steps=steps, goal=parse("[] (p -> p)"))
         assert check_proof(script).accepted
 
+    def test_unknown_step_kind(self):
+        script = ProofScript(logic="CK", steps=("1. taut p -> p",), goal=parse("p -> p"))
+        assert check_proof(script) == proofkit.Verdict(False, 1, "unknown step kind str")
+
     def test_empty_script(self):
         script = ProofScript(logic="CK", steps=(), goal=parse("p"))
         assert not check_proof(script).accepted

@@ -22,7 +22,6 @@ from ckkit.search import (
     EnumParams,
     NoneFound,
     compare_classes,
-    count_preorders,
     enumerate_batches,
     enumerate_models,
     enumerate_packed,
@@ -44,6 +43,10 @@ class TestParams:
     def test_prop_names_distinct_and_non_empty(self, props):
         with pytest.raises(ValueError, match="distinct"):
             EnumParams(max_worlds=2, props=props)
+
+    def test_no_worlds(self):
+        with pytest.raises(ValueError, match="^max_worlds must be at least 1$"):
+            EnumParams(max_worlds=0)
 
     def test_bad_class(self):
         with pytest.raises(ValueError):
@@ -73,9 +76,7 @@ class TestParams:
 class TestEnumeration:
     def test_preorder_counts(self):
         # OEIS A000798: labeled topologies = labeled preorders
-        assert count_preorders(1) == 1
-        assert count_preorders(2) == 4
-        assert count_preorders(3) == 29
+        assert [len(preorders(n)) for n in (1, 2, 3)] == [1, 4, 29]
 
     def test_preorders_are_preorders(self):
         from ckkit.kripke import transitive_closure

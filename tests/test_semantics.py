@@ -251,6 +251,12 @@ class TestAvoidTables:
             _kernel.avoid_tables(np.zeros((1, n + 1), dtype=np.uint64), n + 1)
 
 
+class TestKernel:
+    def test_bad_opcode(self):
+        with pytest.raises(ValueError, match="^bad opcode 9$"):
+            _kernel.eval_model((9,), (0,), 1, (1,), (0,), 0, ())
+
+
 class TestKernelParity:
     """The batch kernel and the one-model evaluator both agree with force."""
 

@@ -43,7 +43,7 @@ from .search import (
     enumerate_models,
     find_countermodel,
 )
-from .semantics import eval_diamond_unguarded, eval_formula, valid_in_model
+from .semantics import eval_formula, valid_in_model
 
 __version__ = "0.1.0"
 

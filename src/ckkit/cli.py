@@ -76,7 +76,7 @@ def _search_args(args) -> tuple[list, search.EnumParams]:
 
 
 def _enum_params(args) -> search.EnumParams:
-    props = tuple(p for p in args.props.split(",") if p) if args.props else ("p",)
+    props = ("p",) if args.props is None else tuple(p for p in args.props.split(",") if p)
     try:
         return search.EnumParams(
             max_worlds=args.max_worlds,

@@ -56,6 +56,7 @@ __all__ = [
     "FormulaStats",
     "ParseError",
     "MAX_DEPTH",
+    "is_atom_name",
     "parse",
     "render",
     "substitute",
@@ -259,6 +260,11 @@ MAX_DEPTH = 100
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(r"->|\[\]|<>|[~&|()]|[A-Za-z_][A-Za-z0-9_]*")
+
+
+def is_atom_name(name: str) -> bool:
+    """Whether ``parse`` reads name as an atom: an identifier other than false and true."""
+    return _IDENT_RE.fullmatch(name) is not None and name not in ("false", "true")
 
 
 class ParseError(ValueError):

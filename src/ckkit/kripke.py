@@ -9,6 +9,9 @@ a modal relation, and a monotone valuation.  Well-formedness conditions:
   * W_bot is a subset of V(P) for every P          (saturation);
   * w in W_bot and (w <= v or w R v) implies v in W_bot  (fallible closure).
 
+A world name is non-empty and holds no whitespace, ``~``, ``<=``, ``"``
+or ``\\``, so that the .km and DOT texts carry it; a proposition name is
+one that ``formula.parse`` reads as an atom (``formula.is_atom_name``).
 ``validate_model`` checks all of this and reports every violation, not
 just the first.  ``frame_report`` computes symmetry and the two
 confluence conditions and derives class membership from ``CLASSES``.
@@ -21,11 +24,14 @@ The golden model ``figure2_model`` is the shipped ``data/fig2.km``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from importlib import resources
 from types import MappingProxyType
 from typing import Iterator, Mapping
+
+from .formula import is_atom_name
 
 __all__ = [
     "CLASSES",
@@ -35,7 +41,6 @@ __all__ = [
     "ModelValidationError",
     "FrameReport",
     "validate_model",
-    "model_violations",
     "frame_report",
     "figure2_model",
     "parse_model_description",
@@ -213,16 +218,6 @@ class KripkeModel:
         except KeyError:
             raise KeyError(f"unknown world {world!r}") from None
 
-    def description(self) -> "ModelDescription":
-        return ModelDescription(
-            worlds=self.worlds,
-            fallible=tuple(sorted(self.fallible)),
-            order_pairs=tuple(sorted(self.order)),
-            rel_pairs=tuple(sorted(self.relation)),
-            valuation={p: tuple(sorted(ws)) for p, ws in self.valuation.items()},
-            close_order=False,
-        )
-
 
 @dataclass(frozen=True)
 class ModelDescription:
@@ -236,15 +231,13 @@ class ModelDescription:
     close_order: bool = True
 
 
+_BAD_WORLD_NAME = re.compile(r'^$|\s|~|<=|"|\\')
+
+
 class ModelValidationError(ValueError):
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("model is not well-formed:\n  " + "\n  ".join(self.violations))
-
-
-def model_violations(desc: ModelDescription) -> list[str]:
-    """All well-formedness violations of a model description (empty if valid)."""
-    return _checked(desc)[0]
 
 
 def _checked(desc: ModelDescription) -> tuple[list[str], PackedModel | None]:
@@ -256,14 +249,14 @@ def _checked(desc: ModelDescription) -> tuple[list[str], PackedModel | None]:
     for w in desc.worlds:
         if w in seen:
             violations.append(f"duplicate world {w!r}")
+        elif _BAD_WORLD_NAME.search(w):
+            violations.append(f"bad world name {w!r}")
         seen.add(w)
-    known = set(desc.worlds)
+    violations += [f"bad proposition name {p!r}" for p in desc.valuation if not is_atom_name(p)]
 
-    def check_world(w: str, where: str) -> bool:
-        if w not in known:
+    def check_world(w: str, where: str) -> None:
+        if w not in seen:
             violations.append(f"unknown world {w!r} in {where}")
-            return False
-        return True
 
     for w in desc.fallible:
         check_world(w, "fallible set")

@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .formula import Formula, atom_names, render
+from .formula import Formula, atom_names, is_atom_name, render
 from .kripke import (
     CLASSES,
     KripkeModel,
@@ -98,8 +98,8 @@ class EnumParams:
                 f"{len(self.props)} propositions exceed the cap of {CAP_PROPS}"
             )
         object.__setattr__(self, "props", tuple(self.props))
-        if "" in self.props or len(set(self.props)) < len(self.props):
-            raise ValueError(f"proposition names must be non-empty and distinct: {self.props}")
+        if not all(map(is_atom_name, self.props)) or len(set(self.props)) < len(self.props):
+            raise ValueError(f"proposition names must be distinct atom names: {self.props}")
 
     @property
     def allow_fallible(self) -> bool:

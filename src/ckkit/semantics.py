@@ -10,9 +10,9 @@ Truth clauses at a world w:
   * diamond (guarded clause, the implemented semantics): every
     <=-successor of w has an R-successor forcing the body.
 
-``eval_diamond_unguarded`` evaluates with the classical existential
-diamond clause instead (throughout the formula); on forward-confluent
-models the two clauses agree.
+``classical_diamond=True`` (to ``eval_packed``, ``eval_packed_batch`` or
+``EvalContext``) takes the classical existential diamond clause instead,
+throughout the formula; on forward-confluent models the two agree.
 
 Formulas are compiled to postfix programs and evaluated for all worlds
 at once as bitmasks, by one of the two evaluators in ckkit._kernel:
@@ -21,9 +21,8 @@ at once as bitmasks, by one of the two evaluators in ckkit._kernel:
     over a ``ModelBatch`` from the enumerator (the countermodel search) or
     over a list of ``PackedModel``s, which ``ModelBatch.of`` packs first;
   * ``eval_packed`` and everything built on it (``EvalContext``,
-    ``truth_mask``, ``eval_formula``, ``valid_in_model``,
-    ``eval_diamond_unguarded``) evaluates one model's Python ints with
-    ``eval_model``.
+    ``eval_formula``, ``valid_in_model``) evaluates one model's Python
+    ints with ``eval_model``.
 
 A ``ModelBatch`` holds each frame's rows and avoid tables once, with a
 frame index per model; ``ModelBatch.of`` makes one frame of each run of
@@ -66,8 +65,6 @@ __all__ = [
     "EvalContext",
     "eval_formula",
     "valid_in_model",
-    "eval_diamond_unguarded",
-    "truth_mask",
 ]
 
 @dataclass(frozen=True)
@@ -196,14 +193,13 @@ class EvalContext:
 
     def __init__(self, model: KripkeModel):
         self.model = model
-        self._packed = model.packed
         self._memo: dict[tuple[Formula, bool], int] = {}
 
     def mask(self, f: Formula, classical_diamond: bool = False) -> int:
         key = (f, classical_diamond)
         cached = self._memo.get(key)
         if cached is None:
-            cached = eval_packed(self._packed, f, classical_diamond)
+            cached = eval_packed(self.model.packed, f, classical_diamond)
             self._memo[key] = cached
         return cached
 
@@ -211,27 +207,12 @@ class EvalContext:
         i = self.model.index(world)
         return bool((self.mask(f, classical_diamond) >> i) & 1)
 
-    def valid(self, f: Formula, classical_diamond: bool = False) -> bool:
-        full = (1 << self._packed.n) - 1
-        return self.mask(f, classical_diamond) == full
-
-
-def truth_mask(m: KripkeModel, f: Formula, classical_diamond: bool = False) -> int:
-    return eval_packed(m.packed, f, classical_diamond)
-
 
 def eval_formula(m: KripkeModel, world: str, f: Formula) -> bool:
     """Truth of f at a world, guarded diamond clause."""
-    i = m.index(world)
-    return bool((truth_mask(m, f) >> i) & 1)
+    return bool((eval_packed(m.packed, f) >> m.index(world)) & 1)
 
 
 def valid_in_model(m: KripkeModel, f: Formula) -> bool:
     """True iff f holds at every world of m."""
-    return truth_mask(m, f) == (1 << len(m.worlds)) - 1
-
-
-def eval_diamond_unguarded(m: KripkeModel, world: str, f: Formula) -> bool:
-    """Truth of f at a world with the classical (existential) diamond clause."""
-    i = m.index(world)
-    return bool((truth_mask(m, f, classical_diamond=True) >> i) & 1)
+    return eval_packed(m.packed, f) == (1 << len(m.worlds)) - 1

@@ -113,6 +113,13 @@ class TestEval:
         )
         assert (code, err) == (1, "error: unknown world 'zz'\n")
 
+    def test_bad_proposition_name(self, tmp_path, capsys):
+        # 'p q' would read as no atom, so p would read the fallible set
+        path = tmp_path / "m.km"
+        path.write_text("worlds: a\nval: p q = a\n")
+        code, out, err = run(capsys, "eval", "--model", str(path), "--world", "a", "--formula", "p")
+        assert (code, out, err) == (1, "", "error: model is not well-formed:\n  bad proposition name 'p q'\n")
+
     def test_seventy_worlds(self, tmp_path, capsys):
         m = wide_model(70, seed=70)
         path = tmp_path / "wide.km"
@@ -218,6 +225,18 @@ class TestFindCountermodel:
     def test_no_worlds(self, capsys, command):
         code, out, err = run(capsys, *command, "p", "--max-worlds", "0")
         assert (code, out, err) == (1, "", "error: max_worlds must be at least 1\n")
+
+    @pytest.mark.parametrize("props", ["", ","])
+    def test_empty_props(self, capsys, props):
+        # only an absent --props gives the default p
+        argv = ("find-countermodel", "false -> false", "--max-worlds", "2")
+        assert run(capsys, *argv, "--props", props) == (0, "NONE max_worlds=2 examined=164\n", "")
+        assert run(capsys, *argv) == (0, "NONE max_worlds=2 examined=326\n", "")
+
+    def test_require_bwd_confluent(self, capsys):
+        # 130 of the 164 models without props are backward confluent
+        argv = ("find-countermodel", "false -> false", "--max-worlds", "2", "--props", "")
+        assert run(capsys, *argv, "--require-bwd-confluent") == (0, "NONE max_worlds=2 examined=130\n", "")
 
     def test_duplicate_props(self, capsys):
         code, out, err = run(capsys, "find-countermodel", "p -> p", "--props", "p,p")
@@ -407,6 +426,15 @@ class TestExportDot:
         text = out_path.read_text()
         assert text.startswith("digraph model {")
         assert '"w" -> "v";' in text
+
+    def test_bad_world_name(self, tmp_path, capsys):
+        # a quote in a world name would end the DOT string that names it
+        path = tmp_path / "m.km"
+        path.write_text('worlds: a"b c\nrel: a"b~c\n')
+        out_path = tmp_path / "m.dot"
+        code, out, err = run(capsys, "export-dot", "--model", str(path), "--out", str(out_path))
+        assert (code, out, err) == (1, "", "error: model is not well-formed:\n  bad world name 'a\"b'\n")
+        assert not out_path.exists()
 
     def test_unwritable_output(self, tmp_path, capsys):
         out_path = tmp_path / "missing" / "m.dot"

@@ -33,7 +33,7 @@ from ckkit.formula import (
     _postorder,
 )
 from ckkit.kripke import figure2_model
-from ckkit.semantics import EvalContext, compile_formula, truth_mask
+from ckkit.semantics import EvalContext, compile_formula, eval_packed
 
 from helpers_logic import NESTINGS, nested_text
 
@@ -294,7 +294,7 @@ class TestWalkersAtDepth:
         assert other != f and not other == f
         assert repr(f) == expected_repr
         ctx = EvalContext(figure2_model())
-        assert ctx.mask(f) == ctx.mask(same) == truth_mask(figure2_model(), f)
+        assert ctx.mask(f) == ctx.mask(same) == eval_packed(figure2_model().packed, f)
 
 
 class TestNode:

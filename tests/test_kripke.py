@@ -4,6 +4,7 @@ from dataclasses import FrozenInstanceError, fields
 import pytest
 
 from ckkit.kripke import (
+    CLASSES,
     FrameReport,
     KripkeModel,
     ModelDescription,
@@ -16,13 +17,12 @@ from ckkit.kripke import (
     is_forward_confluent,
     is_symmetric,
     load_model,
-    model_violations,
     parse_model_description,
     transitive_closure,
     validate_model,
 )
 from ckkit import data_path
-from ckkit.search import EnumParams, enumerate_packed
+from ckkit.search import EnumParams, enumerate_models, enumerate_packed
 
 
 def simple_desc(**overrides):
@@ -38,6 +38,13 @@ def simple_desc(**overrides):
     return ModelDescription(**base)
 
 
+def violations(desc):
+    """The violations listed by the error validate_model raises on desc."""
+    with pytest.raises(ModelValidationError) as exc:
+        validate_model(desc)
+    return exc.value.violations
+
+
 class TestValidation:
     def test_valid_model(self):
         m = validate_model(simple_desc())
@@ -47,18 +54,18 @@ class TestValidation:
 
     def test_monotonicity_violation(self):
         desc = simple_desc(valuation={"p": ("a",)})
-        msgs = model_violations(desc)
+        msgs = violations(desc)
         assert len(msgs) == 1
         assert "monotone" in msgs[0]
 
     def test_saturation_violation(self):
         desc = simple_desc(fallible=("b",), valuation={"p": ("a",)})
-        msgs = model_violations(desc)
+        msgs = violations(desc)
         assert any("fallible world 'b' missing from V(p)" in v for v in msgs)
 
     def test_fallible_forward_closure(self):
         desc = simple_desc(fallible=("a",), valuation={"p": ("a", "b")})
-        msgs = model_violations(desc)
+        msgs = violations(desc)
         # a <= b and a R a: b must be fallible too, and V(p) must cover fallible
         assert any("not closed" in v for v in msgs)
 
@@ -67,19 +74,19 @@ class TestValidation:
             fallible=("a",),
             valuation={"p": ("a",), "q": ()},
         )
-        msgs = model_violations(desc)
-        assert len(msgs) >= 3  # monotonicity, two saturations, closure
         with pytest.raises(ModelValidationError) as exc:
             validate_model(desc)
-        assert exc.value.violations == msgs
+        msgs = exc.value.violations
+        assert len(msgs) >= 3  # monotonicity, two saturations, closure
+        assert str(exc.value) == "model is not well-formed:\n  " + "\n  ".join(msgs)
 
     def test_unknown_world(self):
         desc = simple_desc(rel_pairs=(("a", "zz"),))
-        assert any("unknown world 'zz'" in v for v in model_violations(desc))
+        assert any("unknown world 'zz'" in v for v in violations(desc))
 
     def test_closure_off_flags_missing_reflexivity(self):
         desc = simple_desc(close_order=False)
-        msgs = model_violations(desc)
+        msgs = violations(desc)
         assert any("not reflexive" in v for v in msgs)
 
     def test_closure_off_flags_missing_transitivity(self):
@@ -92,15 +99,31 @@ class TestValidation:
             valuation={},
             close_order=False,
         )
-        msgs = model_violations(desc)
+        msgs = violations(desc)
         assert msgs == ["order not transitive: 'a' reaches 'c' indirectly only"]
 
     def test_empty_worlds(self):
-        assert model_violations(ModelDescription(worlds=())) == ["empty world set"]
+        assert violations(ModelDescription(worlds=())) == ["empty world set"]
 
     def test_duplicate_world(self):
-        msgs = model_violations(ModelDescription(worlds=("a", "a")))
+        msgs = violations(ModelDescription(worlds=("a", "a")))
         assert any("duplicate" in v for v in msgs)
+
+    @pytest.mark.parametrize("name", ["", "a b", "a\tb", "c~d", "a<=b", 'a"b', "a\\b"])
+    def test_bad_world_name(self, name):
+        # each would break the .km or DOT text the model is written to
+        desc = ModelDescription(worlds=(name, "c"), rel_pairs=((name, "c"),))
+        assert violations(desc) == [f"bad world name {name!r}"]
+
+    def test_bad_world_names_all_reported(self):
+        desc = ModelDescription(worlds=("a b", "c~d"), rel_pairs=(("a b", "c~d"),))
+        assert violations(desc) == ["bad world name 'a b'", "bad world name 'c~d'"]
+
+    @pytest.mark.parametrize("prop", ["p q", "", "1p", "p-q", "false", "true"])
+    def test_bad_proposition_name(self, prop):
+        # each is a name the formula parser cannot read as an atom
+        desc = simple_desc(valuation={prop: ("a", "b")})
+        assert violations(desc) == [f"bad proposition name {prop!r}"]
 
 
 class TestBitHelpers:
@@ -184,6 +207,25 @@ class TestFileFormat:
         m = figure2_model()
         again = validate_model(parse_model_description(format_model(m)))
         assert again == m
+
+    def test_round_trip_every_small_model(self):
+        count = 0
+        for cls in CLASSES:
+            for m in enumerate_models(EnumParams(max_worlds=2, props=("p", "q"), class_filter=cls)):
+                assert validate_model(parse_model_description(format_model(m))) == m
+                count += 1
+        assert count == 1850
+
+    def test_round_trip_odd_world_names(self):
+        # names may hold <, = and : as long as they hold no <= or ~
+        names = ("a<b", "=c", "x:y", "#w")
+        m = validate_model(ModelDescription(
+            worlds=names,
+            order_pairs=(("a<b", "=c"), ("x:y", "#w")),
+            rel_pairs=(("=c", "a<b"), ("#w", "x:y")),
+            valuation={"p": ("=c",)},
+        ))
+        assert validate_model(parse_model_description(format_model(m))) == m
 
     def test_round_trip_with_fallible(self):
         m = validate_model(

@@ -39,8 +39,9 @@ class TestParams:
         with pytest.raises(EnumerationCapError):
             EnumParams(max_worlds=2, props=("p", "q", "r"))
 
-    @pytest.mark.parametrize("props", [("p", "p"), ("",), ("p", "")])
+    @pytest.mark.parametrize("props", [("p", "p"), ("",), ("p", ""), ("p q",), ("1",), ("p", "true")])
     def test_prop_names_distinct_and_non_empty(self, props):
+        # and atom names, as formula.parse reads them
         with pytest.raises(ValueError, match="distinct"):
             EnumParams(max_worlds=2, props=props)
 
@@ -136,6 +137,14 @@ class TestEnumeration:
             expected = [pm for pm in all_models if cls in frame_report(pm.to_model()).classes]
             got = enumerate_packed(EnumParams(max_worlds=2, props=("p",), class_filter=cls))
             assert list(got) == expected, cls
+
+    def test_require_backward_confluent(self):
+        # the CK stream filtered by frame_report, in order
+        params = EnumParams(max_worlds=3, props=())
+        expected = [m for m in enumerate_models(params) if frame_report(m).backward_confluent]
+        assert len(expected) == 19_746
+        got = enumerate_models(replace(params, require_backward_confluent=True))
+        assert list(got) == expected
 
     @pytest.mark.parametrize("cls", ["CK", "CKB"])
     @pytest.mark.parametrize("props", [(), ("p",), ("p", "q")])
@@ -443,8 +452,8 @@ class TestSampling:
             assert "CKB" in report.classes
 
     def test_samples_are_wellformed(self):
-        from ckkit.kripke import model_violations
+        from ckkit.kripke import format_model, parse_model_description, validate_model
 
         params = EnumParams(max_worlds=5, props=("p", "q"))
         for m in sample_models(params, count=20, seed=9):
-            assert model_violations(m.description()) == []
+            assert validate_model(parse_model_description(format_model(m))) == m

@@ -13,11 +13,9 @@ from ckkit.semantics import (
     EvalContext,
     ModelBatch,
     compile_formula,
-    eval_diamond_unguarded,
     eval_formula,
     eval_packed,
     eval_packed_batch,
-    truth_mask,
     valid_in_model,
 )
 
@@ -47,12 +45,12 @@ class TestGoldenModel:
         f = parse("<> p")
         # v R w and w forces p, but v's order-successor v2 has no R-successor
         assert eval_formula(m, "v", f) is False
-        assert eval_diamond_unguarded(m, "v", f) is True
+        assert EvalContext(m).eval("v", f, classical_diamond=True) is True
 
     def test_box_dia_p_valid_unguarded(self):
         m = figure2_model()
         f = parse("p -> [] <> p")
-        assert eval_diamond_unguarded(m, "w", f) is True
+        assert EvalContext(m).eval("w", f, classical_diamond=True) is True
 
 
 class TestFallible:
@@ -91,7 +89,7 @@ class TestMonotonicity:
         for m in sample_models(params, count=40, seed=7):
             pm = m.packed
             for f in formulas:
-                mask = truth_mask(m, f)
+                mask = eval_packed(pm, f)
                 for i in range(pm.n):
                     if (mask >> i) & 1:
                         assert pm.up[i] & ~mask == 0, (m, f)
@@ -135,8 +133,9 @@ class TestAgainstReferenceForcing:
         f = parse("<> (p | <> p)")
         for m in enumerate_models(params):
             assert frame_report(m).forward_confluent
+            ctx = EvalContext(m)
             for w in m.worlds:
-                assert eval_formula(m, w, f) == eval_diamond_unguarded(m, w, f)
+                assert eval_formula(m, w, f) == ctx.eval(w, f, classical_diamond=True)
 
 
 class TestBatch:
@@ -198,7 +197,7 @@ class TestBatch:
         m = figure2_model()
         assert eval_formula(m, "w", f) is True
         assert eval_formula(m, "v", f) is False
-        assert int(eval_packed_batch([m.packed], f)[0]) == truth_mask(m, parse("p"))
+        assert int(eval_packed_batch([m.packed], f)[0]) == eval_packed(m.packed, parse("p"))
 
     @pytest.mark.parametrize("nesting", ["left", "right"])
     def test_formula_built_in_code_10000_deep(self, nesting):
@@ -206,7 +205,7 @@ class TestBatch:
         for _ in range(10_000):
             f = And(f, Atom("p")) if nesting == "left" else And(Atom("p"), f)
         m = figure2_model()
-        expected = truth_mask(m, parse("p"))
+        expected = eval_packed(m.packed, parse("p"))
         assert len(compile_formula(f, {"p": 0}).ops) == 20_001
         assert eval_packed(m.packed, f) == expected
         assert eval_packed_batch([m.packed], f).tolist() == [expected]
@@ -298,9 +297,10 @@ class TestKernelParity:
 
 class TestEvalContext:
     def test_memoization(self):
-        ctx = EvalContext(figure2_model())
+        m = figure2_model()
+        ctx = EvalContext(m)
         f = parse("p -> [] <> p")
-        assert ctx.valid(f) is False
+        assert valid_in_model(m, f) is False
         assert ctx.mask(f) == ctx.mask(f)
         assert ctx.eval("w", f) is False
         # classical clause cached separately

@@ -51,7 +51,7 @@ def _formula_args(args) -> list:
         out.append(_parse_formula(args.formula or args.formula_opt))
     if args.formulas_file:
         try:
-            with open(args.formulas_file, "r", encoding="utf-8") as fh:
+            with open(args.formulas_file, "r", encoding="utf-8-sig") as fh:
                 for lineno, line in enumerate(fh, start=1):
                     line = line.strip()
                     if line and not line.startswith("#"):

@@ -12,13 +12,13 @@ a modal relation, and a monotone valuation.  Well-formedness conditions:
 A world name is non-empty and holds no whitespace, ``~``, ``<=``, ``"``
 or ``\\``, so that the .km and DOT texts carry it; a proposition name is
 one that ``formula.parse`` reads as an atom (``formula.is_atom_name``).
-``validate_model`` checks all of this and reports every violation, not
-just the first.  ``frame_report`` computes symmetry and the two
-confluence conditions and derives class membership from ``CLASSES``.
-
-A validated ``KripkeModel`` is one value, its canonical ``PackedModel``;
-``_checked`` is the only code that turns world names into masks, and the
-name sets a ``KripkeModel`` shows are derived from the masks when read.
+A ``KripkeModel`` is one value, its canonical ``PackedModel``, and it
+checks all of this on its masks when it is made, however it is made,
+reporting every violation, not just the first.  ``validate_model``
+packs a description of named worlds into those masks; the name sets a
+``KripkeModel`` shows are derived from the masks when read.
+``frame_report`` computes symmetry and the two confluence conditions
+and derives class membership from ``CLASSES``.
 The golden model ``figure2_model`` is the shipped ``data/fig2.km``.
 """
 
@@ -28,6 +28,7 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from importlib import resources
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -137,6 +138,15 @@ def is_backward_confluent(up: tuple[int, ...] | list[int], rel: tuple[int, ...] 
 # ---------------------------------------------------------------------------
 # models
 
+_BAD_WORLD_NAME = re.compile(r'^$|\s|~|<=|"|\\')
+
+
+class ModelValidationError(ValueError):
+    def __init__(self, violations: list[str]):
+        self.violations = list(violations)
+        super().__init__("model is not well-formed:\n  " + "\n  ".join(self.violations))
+
+
 @dataclass(frozen=True)
 class PackedModel:
     """Bitmask encoding of a model over worlds indexed 0..n-1.
@@ -155,15 +165,58 @@ class PackedModel:
     names: tuple[str, ...] = ()
 
     def to_model(self) -> "KripkeModel":
-        """The model of these masks, canonical: world names filled in, props sorted."""
-        props = tuple(sorted(self.props))
-        if self.names and props == self.props:
-            return KripkeModel(self)
-        val_of = dict(zip(self.props, self.vals))
+        """The model of these masks, canonical: world names filled in, props sorted.
+
+        Raises ModelValidationError when the masks are not a well-formed model.
+        """
+        props, vals = tuple(sorted(self.props)), self.vals
+        if len(props) == len(vals):  # else the model reports the mismatch
+            val_of = dict(zip(self.props, vals))
+            vals = tuple(val_of[p] for p in props)
         names = self.names or tuple(f"w{i + 1}" for i in range(self.n))
-        return KripkeModel(PackedModel(
-            self.n, self.up, self.rel, self.fallible, props, tuple(val_of[p] for p in props), names,
-        ))
+        return KripkeModel(PackedModel(self.n, self.up, self.rel, self.fallible, props, vals, names))
+
+
+def _duplicates(names: tuple[str, ...]) -> list[str]:
+    """A violation for each repeat of a world name."""
+    return [f"duplicate world {w!r}" for i, w in enumerate(names) if names.index(w) < i]
+
+
+def _violations(pm: PackedModel) -> list[str]:
+    """Each way pm fails to be a canonical, well-formed model (module docstring)."""
+    n, names, up, rel, fal, props, vals = pm.n, pm.names, pm.up, pm.rel, pm.fallible, pm.props, pm.vals
+    if n < 1:
+        return ["empty world set"]
+    counts = [(len(up), "order rows"), (len(rel), "relation rows"), (len(names), "world names")]
+    out = [f"{k} {what} for {n} worlds" for k, what in counts if k != n]
+    if len(vals) != len(props):
+        out.append(f"{len(vals)} valuations for {len(props)} props")
+    every = (*up, *rel, fal, *vals)
+    if min(every) < 0 or max(every) >> n:
+        masks = [("order", up), ("relation", rel), ("fallible", (fal,)), ("valuation", vals)]
+        out += [f"{what} mask has bits beyond world count {n}" for what, ms in masks if any(m >> n for m in ms)]
+    if out:  # the checks below index rows by world and walk the bits of masks
+        return out
+    out = _duplicates(names) if len(set(names)) < n else []
+    out += [f"bad world name {w!r}" for w in names if _BAD_WORLD_NAME.search(w)]
+    if list(props) != sorted(set(props)):
+        out.append(f"props not sorted and distinct: {props}")
+    out += [f"bad proposition name {p!r}" for p in props if not is_atom_name(p)]
+    out += [f"order not reflexive at {names[i]!r}" for i in range(n) if not (up[i] >> i) & 1]
+    for i, row in enumerate(transitive_closure(up)):
+        for j in bits(row & ~up[i]):
+            out.append(f"order not transitive: {names[i]!r} reaches {names[j]!r} indirectly only")
+    for p, v in zip(props, vals):
+        for i in bits(v):
+            for j in bits(up[i] & ~v):
+                out.append(f"valuation not monotone: {names[i]!r} <= {names[j]!r} "
+                           f"but only {names[i]!r} is in V({p})")
+        for i in bits(fal & ~v):
+            out.append(f"fallible world {names[i]!r} missing from V({p})")
+    for i in bits(fal):
+        for j in bits((up[i] | rel[i]) & ~fal):
+            out.append(f"fallible set not closed: {names[i]!r} reaches non-fallible {names[j]!r}")
+    return out
 
 
 def _pairs(names: tuple[str, ...], rows: tuple[int, ...]) -> Iterator[tuple[str, str]]:
@@ -175,13 +228,21 @@ def _pairs(names: tuple[str, ...], rows: tuple[int, ...]) -> Iterator[tuple[str,
 
 @dataclass(frozen=True)
 class KripkeModel:
-    """A validated model, built by ``validate_model`` or ``PackedModel.to_model``.
+    """A well-formed model: ``packed`` with world names filled in and props sorted.
 
-    ``packed`` has world names filled in and props sorted, so equal models
-    have equal masks.  The views below are derived from it on first use.
+    Every model is checked when it is made, by ``validate_model``,
+    ``PackedModel.to_model``, ``KripkeModel(pm)``, ``dataclasses.replace``,
+    unpickling or copying, and a ModelValidationError lists every violation.
+    Equal models have equal masks.  The views below are derived from
+    ``packed`` on first use.
     """
 
     packed: PackedModel
+
+    def __post_init__(self):
+        violations = _violations(self.packed)
+        if violations:
+            raise ModelValidationError(violations)
 
     def __reduce__(self):
         # the cached views hold a mapping proxy, which does not pickle
@@ -231,104 +292,39 @@ class ModelDescription:
     close_order: bool = True
 
 
-_BAD_WORLD_NAME = re.compile(r'^$|\s|~|<=|"|\\')
-
-
-class ModelValidationError(ValueError):
-    def __init__(self, violations: list[str]):
-        self.violations = list(violations)
-        super().__init__("model is not well-formed:\n  " + "\n  ".join(self.violations))
-
-
-def _checked(desc: ModelDescription) -> tuple[list[str], PackedModel | None]:
-    """The violations of desc and, when there are none, its packed model."""
-    violations: list[str] = []
-    if not desc.worlds:
-        return ["empty world set"], None
-    seen: set[str] = set()
-    for w in desc.worlds:
-        if w in seen:
-            violations.append(f"duplicate world {w!r}")
-        elif _BAD_WORLD_NAME.search(w):
-            violations.append(f"bad world name {w!r}")
-        seen.add(w)
-    violations += [f"bad proposition name {p!r}" for p in desc.valuation if not is_atom_name(p)]
-
-    def check_world(w: str, where: str) -> None:
-        if w not in seen:
-            violations.append(f"unknown world {w!r} in {where}")
-
-    for w in desc.fallible:
-        check_world(w, "fallible set")
-    for a, b in desc.order_pairs:
-        check_world(a, "intuitionistic order")
-        check_world(b, "intuitionistic order")
-    for a, b in desc.rel_pairs:
-        check_world(a, "modal relation")
-        check_world(b, "modal relation")
-    for p, ws in desc.valuation.items():
-        for w in ws:
-            check_world(w, f"valuation of {p}")
-    if violations:
-        return violations, None
-
-    idx = {w: i for i, w in enumerate(desc.worlds)}
-    n = len(desc.worlds)
-    up = [1 << i for i in range(n)] if desc.close_order else [0] * n
-    for a, b in desc.order_pairs:
-        up[idx[a]] |= 1 << idx[b]
-    if desc.close_order:
-        up = transitive_closure(up)
-    else:
-        for i in range(n):
-            if not (up[i] >> i) & 1:
-                violations.append(f"order not reflexive at {desc.worlds[i]!r}")
-        closed = transitive_closure(list(up))
-        for i in range(n):
-            extra = closed[i] & ~up[i]
-            for j in bits(extra):
-                violations.append(
-                    f"order not transitive: {desc.worlds[i]!r} reaches {desc.worlds[j]!r} indirectly only"
-                )
-    rel = [0] * n
-    for a, b in desc.rel_pairs:
-        rel[idx[a]] |= 1 << idx[b]
-    fal = 0
-    for w in desc.fallible:
-        fal |= 1 << idx[w]
-
-    vals = {}
-    for p in sorted(desc.valuation):
-        vmask = vals[p] = sum(1 << idx[w] for w in set(desc.valuation[p]))
-        for i in bits(vmask):
-            for j in bits(up[i] & ~vmask):
-                violations.append(
-                    f"valuation not monotone: {desc.worlds[i]!r} <= {desc.worlds[j]!r} "
-                    f"but only {desc.worlds[i]!r} is in V({p})"
-                )
-        for i in bits(fal & ~vmask):
-            violations.append(
-                f"fallible world {desc.worlds[i]!r} missing from V({p})"
-            )
-    for i in bits(fal):
-        for j in bits((up[i] | rel[i]) & ~fal):
-            violations.append(
-                f"fallible set not closed: {desc.worlds[i]!r} reaches non-fallible {desc.worlds[j]!r}"
-            )
-    if violations:
-        return violations, None
-    return [], PackedModel(
-        n=n, up=tuple(up), rel=tuple(rel), fallible=fal,
-        props=tuple(vals), vals=tuple(vals.values()), names=tuple(desc.worlds),
-    )
-
-
 def validate_model(desc: ModelDescription) -> KripkeModel:
-    """Validate a description, raising ModelValidationError listing every violation."""
-    violations, pm = _checked(desc)
+    """The model desc describes, its order closed when desc.close_order is set.
+
+    Raises ModelValidationError listing every violation.  An empty world
+    set, duplicate world names and references to unknown worlds stop the
+    check before the description is packed; the model checks the rest.
+    """
+    if not desc.worlds:
+        raise ModelValidationError(["empty world set"])
+    refs = [(desc.fallible, "fallible set"), (chain(*desc.order_pairs), "intuitionistic order"),
+            (chain(*desc.rel_pairs), "modal relation")]
+    refs += [(ws, f"valuation of {p}") for p, ws in desc.valuation.items()]
+    idx = {w: i for i, w in enumerate(desc.worlds)}
+    violations = _duplicates(desc.worlds)
+    violations += [f"unknown world {w!r} in {where}" for ws, where in refs for w in ws if w not in idx]
     if violations:
         raise ModelValidationError(violations)
-    return pm.to_model()
+
+    def mask(ws) -> int:
+        return sum(1 << idx[w] for w in set(ws))
+
+    n = len(desc.worlds)
+    up = [1 << i if desc.close_order else 0 for i in range(n)]
+    rel = [0] * n
+    for rows, pairs in ((up, desc.order_pairs), (rel, desc.rel_pairs)):
+        for a, b in pairs:
+            rows[idx[a]] |= 1 << idx[b]
+    if desc.close_order:
+        up = transitive_closure(up)
+    return PackedModel(
+        n, tuple(up), tuple(rel), mask(desc.fallible), tuple(desc.valuation),
+        tuple(map(mask, desc.valuation.values())), tuple(desc.worlds),
+    ).to_model()
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +440,7 @@ def parse_model_description(text: str) -> ModelDescription:
 
 def load_model(path, close_order: bool | None = None) -> KripkeModel:
     """Read, parse and validate a .km file; close_order overrides the file directive."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         desc = parse_model_description(fh.read())
     if close_order is not None:
         desc = replace(desc, close_order=close_order)

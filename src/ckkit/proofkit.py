@@ -357,5 +357,5 @@ def parse_proof_script(text: str) -> ProofScript:
 
 
 def load_proof_script(path) -> ProofScript:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_proof_script(fh.read())

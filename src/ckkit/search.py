@@ -93,6 +93,8 @@ class EnumParams:
             raise EnumerationCapError(
                 f"max_worlds={self.max_worlds} exceeds the cap of {CAP_WORLDS}"
             )
+        if isinstance(self.props, str):
+            raise ValueError(f"props must be a sequence of names, not the string {self.props!r}")
         if len(self.props) > CAP_PROPS:
             raise EnumerationCapError(
                 f"{len(self.props)} propositions exceed the cap of {CAP_PROPS}"
@@ -333,8 +335,11 @@ def sample_models(
     """Random models matching the class filter, by rejection sampling.
 
     Deterministic for a fixed seed.  Sparse preorders are favoured so the
-    confluence constraints accept at a usable rate.
+    confluence constraints accept at a usable rate.  Raises ValueError
+    unless 1 <= min_worlds <= params.max_worlds.
     """
+    if not 1 <= min_worlds <= params.max_worlds:
+        raise ValueError(f"min_worlds={min_worlds} is outside 1..max_worlds={params.max_worlds}")
     sym, fwd, bwd = params.frame_constraints()
     rng = random.Random(seed)
     out: list[KripkeModel] = []

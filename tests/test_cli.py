@@ -83,6 +83,11 @@ class TestCheckModel:
         assert (code, out) == (1, "")
         assert err.startswith("error: cannot read model")
 
+    def test_byte_order_mark(self, tmp_path, capsys):
+        f = tmp_path / "bom.km"
+        f.write_bytes(b"\xef\xbb\xbf" + data_path("fig2.km").read_bytes())
+        assert run(capsys, "check-model", "--model", str(f)) == (0, "VALID\n", "")
+
     def test_closure_override(self, tmp_path, capsys):
         f = tmp_path / "m.km"
         f.write_text("worlds: a\npreceq:\n")
@@ -157,6 +162,13 @@ class TestFindCountermodel:
         code, out, err = run(capsys, "find-countermodel", "--formulas-file", str(bad))
         assert (code, out) == (1, "")
         assert err.startswith("error: cannot read formulas file")
+
+    def test_formulas_file_byte_order_mark(self, tmp_path, capsys):
+        f = tmp_path / "bom.txt"
+        f.write_bytes("\ufeffp -> [] <> p\n".encode())
+        code, out, err = run(capsys, "find-countermodel", "--formulas-file", str(f), "--max-worlds", "2")
+        assert (code, err) == (2, "")
+        assert out.startswith("COUNTEREXAMPLE\n")
 
     def test_counterexample_exit_2(self, capsys):
         code, out, _ = run(
@@ -391,6 +403,11 @@ class TestCheckProof:
         code, out, err = run(capsys, "check-proof", str(bad))
         assert (code, out) == (1, "")
         assert err.startswith("error: cannot read proof")
+
+    def test_byte_order_mark(self, tmp_path, capsys):
+        f = tmp_path / "bom.proof"
+        f.write_bytes(b"\xef\xbb\xbf" + data_path("n_in_ckb.proof").read_bytes())
+        assert run(capsys, "check-proof", str(f)) == (0, "ACCEPTED\n", "")
 
     def test_search_too_deep(self, tmp_path, capsys):
         # 1,024 disjunctive hypotheses, nested 11 deep: within the parse

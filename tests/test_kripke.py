@@ -1,5 +1,6 @@
+import copy
 import pickle
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from ckkit.kripke import (
     KripkeModel,
     ModelDescription,
     ModelValidationError,
+    PackedModel,
     export_dot,
     figure2_model,
     format_model,
@@ -213,6 +215,8 @@ class TestFileFormat:
         for cls in CLASSES:
             for m in enumerate_models(EnumParams(max_worlds=2, props=("p", "q"), class_filter=cls)):
                 assert validate_model(parse_model_description(format_model(m))) == m
+                # unpickling and copying make the model again, and it passes the check again
+                assert pickle.loads(pickle.dumps(m)) == copy.copy(m) == copy.deepcopy(m) == m
                 count += 1
         assert count == 1850
 
@@ -423,3 +427,98 @@ class TestPacked:
         assert again.packed == m.packed
         assert (again.worlds, again.fallible, again.order, again.relation,
                 dict(again.valuation), again.index("v")) == views
+
+
+# Masks that are not a model, each with the violations the check lists.
+# All but the last two name no worlds, so to_model names them w1, w2, ...
+BAD_MASKS = {
+    "no-worlds": (
+        PackedModel(0, (), (), 0, (), ()),
+        ["empty world set"],
+    ),
+    "not-reflexive": (
+        PackedModel(2, (0, 0), (0, 0), 0, (), ()),
+        ["order not reflexive at 'w1'", "order not reflexive at 'w2'"],
+    ),
+    "not-transitive": (
+        PackedModel(3, (0b011, 0b110, 0b100), (0, 0, 0), 0, (), ()),
+        ["order not transitive: 'w1' reaches 'w3' indirectly only"],
+    ),
+    "not-monotone": (
+        PackedModel(2, (3, 2), (0, 0), 0, ("p",), (1,)),
+        ["valuation not monotone: 'w1' <= 'w2' but only 'w1' is in V(p)"],
+    ),
+    "not-saturated": (
+        PackedModel(2, (1, 2), (0, 0), 0b01, ("p",), (0b10,)),
+        ["fallible world 'w1' missing from V(p)"],
+    ),
+    "fallible-not-closed": (
+        PackedModel(2, (1, 2), (0b10, 0), 0b01, ("p",), (0b11,)),
+        ["fallible set not closed: 'w1' reaches non-fallible 'w2'"],
+    ),
+    "fallible-past-n": (
+        PackedModel(1, (1,), (0,), 4, (), ()),
+        ["fallible mask has bits beyond world count 1"],
+    ),
+    "masks-past-n": (
+        PackedModel(2, (1, 0b110), (0, 0), 0, ("p",), (-1,)),
+        ["order mask has bits beyond world count 2", "valuation mask has bits beyond world count 2"],
+    ),
+    "row-counts": (
+        PackedModel(2, (1,), (0, 0), 0, ("p",), ()),
+        ["1 order rows for 2 worlds", "0 valuations for 1 props"],
+    ),
+    "bad-names": (
+        PackedModel(1, (1,), (0,), 0, ("p q",), (1,), ("a b",)),
+        ["bad world name 'a b'", "bad proposition name 'p q'"],
+    ),
+    "duplicate-names": (
+        PackedModel(2, (1, 2), (0, 0), 0, (), (), ("a", "a")),
+        ["duplicate world 'a'"],
+    ),
+}
+
+
+def _named(pm):
+    """pm with the world names to_model would give it."""
+    return replace(pm, names=pm.names or tuple(f"w{i + 1}" for i in range(pm.n)))
+
+
+class TestModelCheck:
+    @pytest.mark.parametrize("pm, messages", BAD_MASKS.values(), ids=BAD_MASKS)
+    def test_every_way_in_checks(self, pm, messages):
+        named, good = _named(pm), figure2_model()
+        for make in (pm.to_model, lambda: KripkeModel(named), lambda: replace(good, packed=named)):
+            with pytest.raises(ModelValidationError) as exc:
+                make()
+            assert exc.value.violations == messages
+
+    @pytest.mark.parametrize("pm, messages", BAD_MASKS.values(), ids=BAD_MASKS)
+    def test_unpickling_and_copying_check(self, pm, messages):
+        bad = object.__new__(KripkeModel)  # made without the check, as no public path can
+        object.__setattr__(bad, "packed", _named(pm))
+        for make in (lambda: pickle.loads(pickle.dumps(bad)), lambda: copy.copy(bad)):
+            with pytest.raises(ModelValidationError) as exc:
+                make()
+            assert exc.value.violations == messages
+
+    def test_canonical_form(self):
+        # to_model sorts the props; a model made directly must have them sorted
+        pm = PackedModel(1, (1,), (0,), 0, ("q", "p"), (1, 0), ("w1",))
+        assert pm.to_model().packed.props == ("p", "q")
+        for props in (("q", "p"), ("p", "p")):
+            with pytest.raises(ModelValidationError) as exc:
+                KripkeModel(replace(pm, props=props))
+            assert exc.value.violations == [f"props not sorted and distinct: {props}"]
+        with pytest.raises(ModelValidationError) as exc:
+            KripkeModel(replace(pm, names=()))
+        assert exc.value.violations == ["0 world names for 1 worlds"]
+
+    def test_reports_names_with_masks(self):
+        # bad names no longer stop the check: the mask violations come too
+        pm = PackedModel(2, (1, 0), (0, 0), 0, ("true",), (0,), ("a", "b c"))
+        with pytest.raises(ModelValidationError) as exc:
+            pm.to_model()
+        assert exc.value.violations == [
+            "bad world name 'b c'", "bad proposition name 'true'", "order not reflexive at 'b c'",
+        ]

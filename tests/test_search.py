@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import tracemalloc
 from dataclasses import replace
@@ -43,6 +45,12 @@ class TestParams:
     def test_prop_names_distinct_and_non_empty(self, props):
         # and atom names, as formula.parse reads them
         with pytest.raises(ValueError, match="distinct"):
+            EnumParams(max_worlds=2, props=props)
+
+    @pytest.mark.parametrize("props", ["pq", "p"])
+    def test_props_not_a_string(self, props):
+        # a string would be read as the sequence of its characters
+        with pytest.raises(ValueError, match="^props must be a sequence of names, not the string"):
             EnumParams(max_worlds=2, props=props)
 
     def test_no_worlds(self):
@@ -452,8 +460,21 @@ class TestSampling:
             assert "CKB" in report.classes
 
     def test_samples_are_wellformed(self):
-        from ckkit.kripke import format_model, parse_model_description, validate_model
+        from ckkit.kripke import KripkeModel, format_model, parse_model_description, validate_model
 
         params = EnumParams(max_worlds=5, props=("p", "q"))
         for m in sample_models(params, count=20, seed=9):
             assert validate_model(parse_model_description(format_model(m))) == m
+            # each way of making a model again runs the same check, and passes it
+            assert KripkeModel(m.packed) == pickle.loads(pickle.dumps(m)) == copy.deepcopy(m) == m
+
+    @pytest.mark.parametrize("max_worlds, cls, min_worlds", [(1, "IK", 0), (1, "CK", 0), (2, "CK", 3)])
+    def test_min_worlds_out_of_bounds(self, max_worlds, cls, min_worlds):
+        params = EnumParams(max_worlds=max_worlds, props=("p",), class_filter=cls)
+        message = f"^min_worlds={min_worlds} is outside 1..max_worlds={max_worlds}$"
+        with pytest.raises(ValueError, match=message):
+            sample_models(params, count=20, seed=1, min_worlds=min_worlds)
+
+    def test_min_worlds_at_max(self):
+        params = EnumParams(max_worlds=2, props=("p",))
+        assert {m.packed.n for m in sample_models(params, count=5, seed=1, min_worlds=2)} == {2}

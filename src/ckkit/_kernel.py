@@ -4,18 +4,26 @@ A program is the postfix opcode list that ``semantics.compile_formula``
 emits.  Running it gives the formula's truth mask: bit w is set iff
 world w forces the formula.  Two evaluators run the same opcodes:
 
-  * ``eval_programs``, over a batch of models packed into uint64 arrays,
+  * ``eval_programs``, over a batch of models packed into int64 arrays,
     with numpy operations across the model axis;
   * ``eval_model``, over one model's Python ints, where building arrays
     would cost more than the evaluation itself.
 
-Every modal opcode asks, for a relation given by its successor rows and
-a set s of worlds, for the mask of worlds w with rows[w] & s == 0.  On
-one frame that depends on s alone, so the batch kernel reads it from the
-frame's avoid table (``avoid_tables``), 2**n masks indexed by s: one
-gather per opcode across all models.  The tables grow as 2**n, so
-batches have at most ``MAX_BATCH_WORLDS`` worlds (2 KB per frame and
-relation); the one-model path has no world cap.
+IMP, BOX, DIA and DIAC each apply one of the four operations of
+``modal_ops`` to a set s of worlds.  Each is written with the avoid
+function of a relation, the mask of worlds w with rows[w] & s == 0 for
+successor rows standing for up or rel; ``eval_model`` walks the rows.
+On one frame an operation depends on s alone, so the batch kernel reads
+it from a table (``modal_tables``).  A batch's masks are tagged: each
+model's masks carry its frame index f in the bits above n, as
+(f << n) | mask, and every table maps a tagged set (f << n) | s to the
+tagged mask (f << n) | op_f(s).  So each modal opcode is one gather
+across all models, &, | and ^ full keep the tag, and ``eval_programs``
+strips it from the result.  The tables are built once per batch by
+running ``modal_ops`` over every tagged set, with the gather as the
+avoid function.  They grow as 2**n, so batches have at most
+``MAX_BATCH_WORLDS`` worlds (2 KB per frame and table); the one-model
+path has no world cap.
 
 Opcodes (args is the atom's prop index for OP_ATOM, -1 for a proposition
 missing from the model's valuation, unused otherwise):
@@ -24,7 +32,7 @@ missing from the model's valuation, unused otherwise):
   1 FALSUM push the fallible mask
   2 AND    bitwise and
   3 OR     bitwise or
-  4 IMP    w set iff every <=-successor of w in A is in B
+  4 IMP    w set iff every <=-successor of w in A is in B: up(A & ~B)
   5 BOX    w set iff all R-successors of all <=-successors of w are in A
   6 DIA    guarded diamond: w set iff every <=-successor of w has an
            R-successor in A
@@ -45,14 +53,26 @@ OP_DIAC = 7
 MAX_BATCH_WORLDS = 8
 
 
-def _run(ops, args, full, fallible, vals, up, rel, avoid):
-    """The opcode semantics, on Python ints and uint64 arrays alike.
+def modal_ops(full, up, rel, avoid):
+    """The modal operations: IMP's up, then BOX, DIA and DIAC, each of a set s.
 
-    vals[a] is the extension of prop a, and avoid(rows, s) the mask of
-    worlds w with rows[w] & s == 0, where rows stands for up or rel:
-    successor rows for eval_model, avoid tables for eval_programs.  The
-    masks are combined only with &, | and ^, which act the same on both
-    kinds of operand.
+    avoid(rows, s) is the mask of worlds w with rows[w] & s == 0, where
+    rows stands for up or rel.  full is the mask of all worlds.
+    """
+    return (
+        lambda s: avoid(up, s),
+        lambda s: avoid(up, full ^ avoid(rel, full ^ s)),
+        lambda s: avoid(up, avoid(rel, s)),
+        lambda s: full ^ avoid(rel, s),
+    )
+
+
+def _run(ops, args, full, fallible, vals, up, box, dia, diac):
+    """The opcode semantics, on Python ints and int64 arrays alike.
+
+    vals[a] is the extension of prop a, and up, box, dia and diac are
+    the four operations of modal_ops.  The masks are combined only with
+    &, | and ^, which act the same on both kinds of operand.
     """
     stack = []
     push = stack.append
@@ -70,13 +90,13 @@ def _run(ops, args, full, fallible, vals, up, rel, avoid):
             push(pop() | b)
         elif op == OP_IMP:
             b = pop()
-            push(avoid(up, pop() & (full ^ b)))
+            push(up(pop() & (full ^ b)))
         elif op == OP_BOX:
-            push(avoid(up, full ^ avoid(rel, full ^ pop())))
+            push(box(pop()))
         elif op == OP_DIA:
-            push(avoid(up, avoid(rel, pop())))
+            push(dia(pop()))
         elif op == OP_DIAC:
-            push(full ^ avoid(rel, pop()))
+            push(diac(pop()))
         else:
             raise ValueError(f"bad opcode {op}")
     return stack[-1]
@@ -100,21 +120,31 @@ def avoid_tables(rows, n: int):
     return table.reshape(-1)
 
 
-def eval_programs(ops, args, n, up, rel, fallible, vals, out, frame):
+def modal_tables(up, rel, n: int):
+    """Tagged tables of modal_ops on frames given by their successor rows, (frames, n) uint64.
+
+    Returns the up, BOX, DIA and DIAC tables, each a (frames << n,)
+    int64 array whose entry (f << n) | s is (f << n) | op_f(s).  They are
+    int64, not uint64, so that take reads a tagged mask as an index
+    without a cast.
+    """
+    tagged = np.arange(len(up) << n, dtype=np.int64)
+    tag = tagged >> n << n
+    up_t, rel_t = (tag | avoid_tables(rows, n).view(np.int64) for rows in (up, rel))
+    return [op(tagged) for op in modal_ops((1 << n) - 1, up_t, rel_t, np.take)]
+
+
+def eval_programs(ops, args, n, up, modal, fallible, vals, out):
     """Run the program over every model; out[i] gets the truth mask of model i.
 
-    up and rel are the frames' avoid tables (see avoid_tables), frame
-    (models,) is each model's frame index, fallible (models,) and vals
-    (models, props) are uint64 masks.
+    up is the up table and modal the BOX, DIA and DIAC tables of
+    modal_tables; fallible (models,) and vals (models, props) are the
+    models' tagged masks, int64.  out (models,) is uint64.
     """
-    # base is uint64 like the masks, since numpy 1 and 2 alike promote
-    # int64 | uint64 to float64; base | s is then read as int64 indices
-    base = frame.astype(np.uint64) << np.uint64(n)
-
-    def avoid(table, s):
-        return table.take((base | s).view(np.int64))
-
-    out[:] = _run(ops, args, np.uint64((1 << n) - 1), fallible, vals.T, up, rel, avoid)
+    full = (1 << n) - 1
+    box, dia, diac = modal
+    tagged = _run(ops, args, full, fallible, vals.T, up.take, box.take, dia.take, diac.take)
+    np.bitwise_and(tagged, full, out=out, casting="unsafe")
 
 
 def eval_model(ops, args, n, up, rel, fallible, vals) -> int:
@@ -127,4 +157,5 @@ def eval_model(ops, args, n, up, rel, fallible, vals) -> int:
                 m |= 1 << w
         return m
 
-    return _run(ops, args, (1 << n) - 1, fallible, vals, up, rel, avoid)
+    full = (1 << n) - 1
+    return _run(ops, args, full, fallible, vals, *modal_ops(full, up, rel, avoid))

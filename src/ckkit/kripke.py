@@ -165,16 +165,17 @@ class PackedModel:
     names: tuple[str, ...] = ()
 
     def to_model(self) -> "KripkeModel":
-        """The model of these masks, canonical: world names filled in, props sorted.
+        """The model of these masks, canonical: tuples, world names filled in, props sorted.
 
         Raises ModelValidationError when the masks are not a well-formed model.
         """
-        props, vals = tuple(sorted(self.props)), self.vals
+        props, vals = tuple(sorted(self.props)), tuple(self.vals)
         if len(props) == len(vals):  # else the model reports the mismatch
             val_of = dict(zip(self.props, vals))
             vals = tuple(val_of[p] for p in props)
-        names = self.names or tuple(f"w{i + 1}" for i in range(self.n))
-        return KripkeModel(PackedModel(self.n, self.up, self.rel, self.fallible, props, vals, names))
+        names = tuple(self.names) or tuple(f"w{i + 1}" for i in range(self.n))
+        up, rel = tuple(self.up), tuple(self.rel)
+        return KripkeModel(PackedModel(self.n, up, rel, self.fallible, props, vals, names))
 
 
 def _duplicates(names: tuple[str, ...]) -> list[str]:
@@ -187,6 +188,11 @@ def _violations(pm: PackedModel) -> list[str]:
     n, names, up, rel, fal, props, vals = pm.n, pm.names, pm.up, pm.rel, pm.fallible, pm.props, pm.vals
     if n < 1:
         return ["empty world set"]
+    fields = [("order rows", up), ("relation rows", rel), ("props", props), ("valuations", vals),
+              ("world names", names)]
+    out = [f"{what} not a tuple" for what, seq in fields if not isinstance(seq, tuple)]
+    if out:  # models hash and compare by their masks; a list neither hashes nor equals a tuple
+        return out
     counts = [(len(up), "order rows"), (len(rel), "relation rows"), (len(names), "world names")]
     out = [f"{k} {what} for {n} worlds" for k, what in counts if k != n]
     if len(vals) != len(props):
@@ -228,7 +234,7 @@ def _pairs(names: tuple[str, ...], rows: tuple[int, ...]) -> Iterator[tuple[str,
 
 @dataclass(frozen=True)
 class KripkeModel:
-    """A well-formed model: ``packed`` with world names filled in and props sorted.
+    """A well-formed model: ``packed`` in tuples, with world names filled in and props sorted.
 
     Every model is checked when it is made, by ``validate_model``,
     ``PackedModel.to_model``, ``KripkeModel(pm)``, ``dataclasses.replace``,

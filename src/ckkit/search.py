@@ -13,9 +13,9 @@ input of the batch kernel; ``enumerate_packed`` unpacks the same stream.
 Spaces of at most 3 worlds are enumerated once per process: the batches
 of each (n, sym, fwd, bwd, whether fallible worlds are allowed, number
 of props) are kept in ``_batch_cache`` as read-only arrays (with the
-frames' avoid tables), with the suspended generator of the rest, which a
-later scan resumes.  CKB with one prop takes ~300 KB, all four classes
-~7 MB, all 144 keys 116 MB.  The cache is not thread-safe.
+frames' modal tables), with the suspended generator of the rest, which a
+later scan resumes.  CKB with one prop takes ~360 KB, all four classes
+~8.6 MB, all 144 keys 124 MB.  The cache is not thread-safe.
 
 The enumeration is doubly exponential; a hard cap (5 worlds, 2
 propositions) guards against runaway parameters.

@@ -24,11 +24,13 @@ at once as bitmasks, by one of the two evaluators in ckkit._kernel:
     ``eval_formula``, ``valid_in_model``) evaluates one model's Python
     ints with ``eval_model``.
 
-A ``ModelBatch`` holds each frame's rows and avoid tables once, with a
-frame index per model; ``ModelBatch.of`` makes one frame of each run of
-consecutive models on equal rows.  Batches have at most
-``_kernel.MAX_BATCH_WORLDS`` (8) worlds; single models have no cap,
-since ``eval_model`` works on Python ints, which have no width.
+A ``ModelBatch`` holds each frame's rows and the tables of its four
+modal operations once, and each model's masks tagged with its frame
+index in the bits above n (see ``_kernel``); ``ModelBatch.of`` makes
+one frame of each run of consecutive models on equal rows.  Batches
+have at most ``_kernel.MAX_BATCH_WORLDS`` (8) worlds; single models
+have no cap, since ``eval_model`` works on Python ints, which have no
+width.
 ``compile_formula`` is a loop over ``formula._postorder``, so formulas
 built in code compile and evaluate at any depth.
 """
@@ -51,7 +53,7 @@ from ._kernel import (
     OP_FALSUM,
     OP_IMP,
     OP_OR,
-    avoid_tables,
+    modal_tables,
 )
 from .formula import And, Atom, Box, Diamond, Falsum, Formula, Implies, Or, _postorder
 from .kripke import KripkeModel, PackedModel
@@ -96,10 +98,12 @@ def compile_formula(
 class ModelBatch:
     """Models of one world count and prop list, grouped by frame.
 
-    up and rel (frames, n) are the frames' successor rows, up_avoid and
-    rel_avoid their avoid tables (``_kernel.avoid_tables``), frame
-    (models,) each model's frame index, and fallible (models,) and vals
-    (models, props) its masks; all uint64 but frame.
+    up and rel (frames, n) uint64 are the frames' successor rows, and
+    up_avoid, box_table, dia_table and diac_table their tagged tables
+    (``_kernel.modal_tables``).  fallible (models,) and vals (models,
+    props) are each model's masks, tagged with its frame index f as
+    (f << n) | mask; ``models()`` and ``model(k)`` strip the tag.  The
+    tables and the tagged masks are int64.
     """
 
     n: int
@@ -107,8 +111,9 @@ class ModelBatch:
     up: np.ndarray
     rel: np.ndarray
     up_avoid: np.ndarray
-    rel_avoid: np.ndarray
-    frame: np.ndarray
+    box_table: np.ndarray
+    dia_table: np.ndarray
+    diac_table: np.ndarray
     fallible: np.ndarray
     vals: np.ndarray
 
@@ -118,6 +123,9 @@ class ModelBatch:
         n, props = models[0].n, models[0].props
         if any(pm.n != n or pm.props != props for pm in models):
             raise ValueError("batch models must share world count and proposition list")
+        # a bit at or above n, or a negative mask, would be read as part of the frame tag
+        if any(m >> n for pm in models for m in (*pm.up, *pm.rel, pm.fallible, *pm.vals)):
+            raise ValueError(f"batch masks must have no bits beyond world count {n}")
         return cls(n, props, *_pack_arrays(models))
 
     def __len__(self) -> int:
@@ -125,27 +133,30 @@ class ModelBatch:
 
     def models(self) -> Iterator[PackedModel]:
         """The batch's models in order; models on one frame share its row tuples."""
+        n, full = self.n, (1 << self.n) - 1
         frames = [(tuple(u), tuple(r)) for u, r in zip(self.up.tolist(), self.rel.tolist())]
-        for f, fal, vals in zip(self.frame.tolist(), self.fallible.tolist(), self.vals.tolist()):
-            up, rel = frames[f]
-            yield PackedModel(self.n, up, rel, fal, self.props, tuple(vals))
+        for fal, vals in zip(self.fallible.tolist(), self.vals.tolist()):
+            up, rel = frames[fal >> n]
+            yield PackedModel(n, up, rel, fal & full, self.props, tuple(v & full for v in vals))
 
     def model(self, k: int) -> PackedModel:
         """The k-th model of the batch."""
-        f = self.frame[k]
+        n, full = self.n, (1 << self.n) - 1
+        fal = int(self.fallible[k])
+        f = fal >> n
         return PackedModel(
-            self.n, tuple(self.up[f].tolist()), tuple(self.rel[f].tolist()),
-            int(self.fallible[k]), self.props, tuple(self.vals[k].tolist()),
+            n, tuple(self.up[f].tolist()), tuple(self.rel[f].tolist()),
+            fal & full, self.props, tuple(v & full for v in self.vals[k].tolist()),
         )
 
 
 def _batch_arrays(n: int, nprops: int, frames, counts, fallible, vals) -> tuple[np.ndarray, ...]:
     """Read-only ModelBatch arrays after n and props, of counts[i] models on frames[i] = (up, rel)."""
     up, rel = (np.array(rows, dtype=np.uint64) for rows in zip(*frames))
-    frame = np.arange(len(counts)).repeat(counts)
-    fallible = np.array(fallible, dtype=np.uint64)
-    vals = np.array(vals, dtype=np.uint64).reshape(len(fallible), nprops)
-    arrays = up, rel, avoid_tables(up, n), avoid_tables(rel, n), frame, fallible, vals
+    tag = np.arange(len(counts), dtype=np.int64).repeat(counts) << n
+    fallible = tag | np.array(fallible, dtype=np.int64)
+    vals = tag[:, None] | np.array(vals, dtype=np.int64).reshape(len(fallible), nprops)
+    arrays = up, rel, *modal_tables(up, rel, n), fallible, vals
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -172,8 +183,8 @@ def eval_packed_batch(
     prog = compile_formula(f, {p: k for k, p in enumerate(models.props)}, classical_diamond)
     out = np.empty(len(models), dtype=np.uint64)
     _kernel.eval_programs(
-        prog.ops, prog.args, models.n, models.up_avoid, models.rel_avoid,
-        models.fallible, models.vals, out, models.frame,
+        prog.ops, prog.args, models.n, models.up_avoid,
+        (models.box_table, models.dia_table, models.diac_table), models.fallible, models.vals, out,
     )
     return out
 

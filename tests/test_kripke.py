@@ -479,16 +479,39 @@ BAD_MASKS = {
 }
 
 
+# Masks given as lists: to_model makes them tuples, and the other ways in refuse them
+LIST_MASKS = {
+    "list-masks": (
+        PackedModel(1, [1], [0], 0, [], []),
+        ["order rows not a tuple", "relation rows not a tuple", "props not a tuple", "valuations not a tuple"],
+    ),
+    "list-vals": (
+        PackedModel(2, (1, 2), (0, 0), 0b01, ("p",), [0b11]),
+        ["valuations not a tuple"],
+    ),
+}
+
+
 def _named(pm):
     """pm with the world names to_model would give it."""
     return replace(pm, names=pm.names or tuple(f"w{i + 1}" for i in range(pm.n)))
 
 
 class TestModelCheck:
-    @pytest.mark.parametrize("pm, messages", BAD_MASKS.values(), ids=BAD_MASKS)
+    @pytest.mark.parametrize(
+        "pm, messages", [*BAD_MASKS.values(), *LIST_MASKS.values()], ids=[*BAD_MASKS, *LIST_MASKS]
+    )
     def test_every_way_in_checks(self, pm, messages):
         named, good = _named(pm), figure2_model()
-        for make in (pm.to_model, lambda: KripkeModel(named), lambda: replace(good, packed=named)):
+        makes = [lambda: KripkeModel(named), lambda: replace(good, packed=named)]
+        lists = [f for f in fields(pm) if isinstance(getattr(pm, f.name), list)]
+        if lists:
+            tuples = replace(pm, **{f.name: tuple(getattr(pm, f.name)) for f in lists})
+            m, expected = pm.to_model(), tuples.to_model()
+            assert m == expected and hash(m) == hash(expected)
+        else:
+            makes.append(pm.to_model)
+        for make in makes:
             with pytest.raises(ModelValidationError) as exc:
                 make()
             assert exc.value.violations == messages

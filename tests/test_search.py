@@ -198,7 +198,7 @@ class TestEnumeration:
             # models() and ModelBatch.of are inverse
             models = list(b.models())
             again = ModelBatch.of(models)
-            for name in ("up", "rel", "up_avoid", "rel_avoid", "frame", "fallible", "vals"):
+            for name in ("up", "rel", "up_avoid", "box_table", "dia_table", "diac_table", "fallible", "vals"):
                 assert (getattr(again, name) == getattr(b, name)).all()
             assert [b.model(k) for k in range(len(b))] == models
         for prev, b in zip(batches, batches[1:]):
@@ -228,9 +228,9 @@ class TestClosedSets:
 
 
 def _stream(params, batches=None):
-    """(n, props, up, rel, frame, fallible, vals) per batch, as lists."""
+    """(n, props, up, rel, fallible, vals) per batch, as lists; the masks carry the frame index."""
     return [
-        (b.n, b.props) + tuple(a.tolist() for a in (b.up, b.rel, b.frame, b.fallible, b.vals))
+        (b.n, b.props) + tuple(a.tolist() for a in (b.up, b.rel, b.fallible, b.vals))
         for b in islice(enumerate_batches(params), batches)
     ]
 
@@ -266,7 +266,7 @@ class TestBatchCache:
         params = EnumParams(max_worlds=2, props=("p",), class_filter="CKB")
         list(enumerate_batches(params))
         for b in enumerate_batches(params):
-            for a in (b.up, b.rel, b.up_avoid, b.rel_avoid, b.frame, b.fallible, b.vals):
+            for a in (b.up, b.rel, b.up_avoid, b.box_table, b.dia_table, b.diac_table, b.fallible, b.vals):
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 1
 

@@ -7,8 +7,20 @@ import pytest
 
 from ckkit import _kernel
 from ckkit.formula import And, Atom, enumerate_formulas, parse
-from ckkit.kripke import ModelDescription, figure2_model, frame_report, validate_model
-from ckkit.search import EnumParams, enumerate_models, enumerate_packed, sample_models
+from ckkit.kripke import (
+    ModelDescription,
+    PackedModel,
+    figure2_model,
+    frame_report,
+    validate_model,
+)
+from ckkit.search import (
+    EnumParams,
+    enumerate_batches,
+    enumerate_models,
+    enumerate_packed,
+    sample_models,
+)
 from ckkit.semantics import (
     EvalContext,
     ModelBatch,
@@ -152,6 +164,12 @@ class TestBatch:
         with pytest.raises(ValueError):
             eval_packed_batch(models, parse("p"))
 
+    @pytest.mark.parametrize("vals", [(2,), (-1,)])
+    def test_batch_rejects_masks_past_n(self, vals):
+        pm = PackedModel(1, (1,), (0,), 0, ("p",), vals)
+        with pytest.raises(ValueError, match="^batch masks must have no bits beyond world count 1$"):
+            eval_packed_batch([pm], parse("p -> p"))
+
     def test_empty_batch(self):
         assert eval_packed_batch([], parse("p")).size == 0
 
@@ -184,7 +202,7 @@ class TestBatch:
         # frames a, b, a, b: four runs, each with its own table
         mixed = first + second + first + second
         batch = ModelBatch.of(mixed)
-        assert batch.frame.tolist() == [k for k, run in enumerate((first, second) * 2) for _ in run]
+        assert (batch.fallible >> batch.n).tolist() == [k for k, run in enumerate((first, second) * 2) for _ in run]
         assert list(batch.models()) == mixed
         for f in (parse("p -> [] <> p"), parse("<> p | [] ~p")):
             assert eval_packed_batch(mixed, f).tolist() == [eval_packed(pm, f) for pm in mixed]
@@ -250,6 +268,50 @@ class TestAvoidTables:
             _kernel.avoid_tables(np.zeros((1, n + 1), dtype=np.uint64), n + 1)
 
 
+def _modal_by_definition(up, rel, n):
+    """The up, BOX, DIA and DIAC masks of every set s, composed from the avoid masks."""
+    full = (1 << n) - 1
+    u, r = _avoid_by_definition(up, n), _avoid_by_definition(rel, n)
+    return (
+        u,
+        [u[full ^ r[full ^ s]] for s in range(1 << n)],
+        [u[r[s]] for s in range(1 << n)],
+        [full ^ r[s] for s in range(1 << n)],
+    )
+
+
+def _small_and_sampled_batches():
+    """Every frame of CK and CKB up to 3 worlds, then sampled 4- and 5-world batches."""
+    for cls in ("CK", "CKB"):
+        yield from enumerate_batches(EnumParams(max_worlds=3, props=("p",), class_filter=cls))
+        for n in (4, 5):
+            params = EnumParams(max_worlds=n, props=("p",), class_filter=cls)
+            yield ModelBatch.of([m.packed for m in sample_models(params, count=40, seed=n, min_worlds=n)])
+
+
+class TestModalTables:
+    def test_tables_match_definitions(self):
+        for b in _small_and_sampled_batches():
+            n = b.n
+            tables = [t.tolist() for t in (b.up_avoid, b.box_table, b.dia_table, b.diac_table)]
+            for f, (up, rel) in enumerate(zip(b.up.tolist(), b.rel.tolist())):
+                # entry (f << n) | s is (f << n) | op(s): tagged sets map to tagged masks
+                expected = [[(f << n) | m for m in ms] for ms in _modal_by_definition(up, rel, n)]
+                assert [t[f << n : (f + 1) << n] for t in tables] == expected, (up, rel)
+
+    def test_no_tag_leaks(self):
+        formulas = [parse(s) for s in ("p", "q", "false", "~p", "p -> [] <> p", "<> p | [] ~p")]
+        for b in _small_and_sampled_batches():
+            below = 1 << b.n
+            for f in formulas:
+                for classical in (False, True):
+                    assert (eval_packed_batch(b, f, classical) < below).all()
+            models = list(b.models())
+            assert models == [b.model(k) for k in range(len(b))]
+            for pm in models:
+                assert all(m < below for m in (*pm.up, *pm.rel, pm.fallible, *pm.vals))
+
+
 class TestKernel:
     def test_bad_opcode(self):
         with pytest.raises(ValueError, match="^bad opcode 9$"):
@@ -270,7 +332,8 @@ class TestKernelParity:
             for classical in (False, True):
                 prog = compile_formula(f, {"p": 0}, classical)
                 _kernel.eval_programs(
-                    prog.ops, prog.args, n, b.up_avoid, b.rel_avoid, b.fallible, b.vals, out, b.frame
+                    prog.ops, prog.args, n, b.up_avoid, (b.box_table, b.dia_table, b.diac_table),
+                    b.fallible, b.vals, out,
                 )
                 for m, pm, batch_mask in zip(models, packed, out):
                     single = _kernel.eval_model(

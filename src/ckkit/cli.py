@@ -6,6 +6,11 @@ compare-classes, check-proof, axioms list, export-dot.
 Exit codes: 0 success, 1 usage/IO/validation error or output closed
 early by its reader, 2 reserved by find-countermodel for "counterexample
 found".
+
+Arguments are parsed once: a known subcommand's arguments by that
+subcommand's parser alone, anything else (-h, no arguments, an unknown
+command) by the top-level parser.  Leftover arguments are reported by
+the top-level parser, so every usage message reads as the full parser's.
 """
 
 from __future__ import annotations
@@ -246,11 +251,25 @@ _COMMANDS = {
 
 
 _PARSER = build_parser()
+# each subcommand's own parser, by name: the choices of the add_subparsers action
+_SUBPARSERS = next(a.choices for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """_PARSER.parse_args(argv), parsing a known subcommand's arguments with its parser alone."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = _SUBPARSERS.get(argv[0]) if argv else None
+    if sub is None:  # -h, no arguments or an unknown command: the top parser reports it
+        return _PARSER.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _main(argv: list[str] | None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:

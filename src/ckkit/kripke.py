@@ -169,13 +169,7 @@ class PackedModel:
 
         Raises ModelValidationError when the masks are not a well-formed model.
         """
-        props, vals = tuple(sorted(self.props)), tuple(self.vals)
-        if len(props) == len(vals):  # else the model reports the mismatch
-            val_of = dict(zip(self.props, vals))
-            vals = tuple(val_of[p] for p in props)
-        names = tuple(self.names) or tuple(f"w{i + 1}" for i in range(self.n))
-        up, rel = tuple(self.up), tuple(self.rel)
-        return KripkeModel(PackedModel(self.n, up, rel, self.fallible, props, vals, names))
+        return KripkeModel.of(self.n, self.up, self.rel, self.fallible, self.props, self.vals, self.names)
 
 
 def _duplicates(names: tuple[str, ...]) -> list[str]:
@@ -249,6 +243,16 @@ class KripkeModel:
         violations = _violations(self.packed)
         if violations:
             raise ModelValidationError(violations)
+
+    @classmethod
+    def of(cls, n, up, rel, fallible, props, vals, names=()) -> KripkeModel:
+        """The model of these masks, canonical (see ``PackedModel.to_model``), packed once."""
+        sorted_props, vals = tuple(sorted(props)), tuple(vals)
+        if len(props) == len(vals):  # else the model reports the mismatch
+            val_of = dict(zip(props, vals))
+            vals = tuple(val_of[p] for p in sorted_props)
+        names = tuple(names) or tuple(f"w{i + 1}" for i in range(n))
+        return cls(PackedModel(n, tuple(up), tuple(rel), fallible, sorted_props, vals, names))
 
     def __reduce__(self):
         # the cached views hold a mapping proxy, which does not pickle

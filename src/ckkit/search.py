@@ -9,6 +9,10 @@ the fallible set, then the valuation, so searches are deterministic.
 
 ``enumerate_batches`` yields them as ``semantics.ModelBatch``es, the
 input of the batch kernel; ``enumerate_packed`` unpacks the same stream.
+``find_countermodel`` compiles its formula once, for ``params.props`` in
+their given order (the prop order of every batch it scans), passes the
+``Program`` to ``eval_packed_batch`` for each batch, and packs only the
+countermodel it returns.
 
 Spaces of at most 3 worlds are enumerated once per process: the batches
 of each (n, sym, fwd, bwd, whether fallible worlds are allowed, number
@@ -41,7 +45,7 @@ from .kripke import (
     is_forward_confluent,
     transitive_closure,
 )
-from .semantics import ModelBatch, _batch_arrays, eval_packed_batch
+from .semantics import ModelBatch, _batch_arrays, compile_formula, eval_packed_batch
 
 __all__ = [
     "EnumParams",
@@ -276,14 +280,15 @@ def find_countermodel(f: Formula, params: EnumParams) -> SearchVerdict:
     Raises ValueError when f has atoms that are not among params.props.
     """
     params.check_atoms(f)
+    prog = compile_formula(f, {p: k for k, p in enumerate(params.props)})
     examined = 0
     for batch in enumerate_batches(params):
-        masks = eval_packed_batch(batch, f)
+        masks = eval_packed_batch(batch, prog)
         full = (1 << batch.n) - 1
         hits = np.flatnonzero(masks != np.uint64(full))
         if hits.size:
             k = int(hits[0])
-            m = batch.model(k).to_model()
+            m = batch.checked_model(k)
             world_index = next(bits(full & ~int(masks[k])))
             return Counterexample(model=m, world=m.worlds[world_index])
         examined += len(batch)

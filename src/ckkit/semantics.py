@@ -19,7 +19,9 @@ at once as bitmasks, by one of the two evaluators in ckkit._kernel:
 
   * ``eval_packed_batch`` runs the numpy batch kernel, ``eval_programs``,
     over a ``ModelBatch`` from the enumerator (the countermodel search) or
-    over a list of ``PackedModel``s, which ``ModelBatch.of`` packs first;
+    over a list of ``PackedModel``s, which ``ModelBatch.of`` packs first.
+    It takes a formula, or a ``Program`` compiled for the batch's prop
+    order, so that a search compiles its formula once;
   * ``eval_packed`` and everything built on it (``EvalContext``,
     ``eval_formula``, ``valid_in_model``) evaluates one model's Python
     ints with ``eval_model``.
@@ -102,7 +104,7 @@ class ModelBatch:
     up_avoid, box_table, dia_table and diac_table their tagged tables
     (``_kernel.modal_tables``).  fallible (models,) and vals (models,
     props) are each model's masks, tagged with its frame index f as
-    (f << n) | mask; ``models()`` and ``model(k)`` strip the tag.  The
+    (f << n) | mask; ``models()`` and ``checked_model(k)`` strip the tag.  The
     tables and the tagged masks are int64.
     """
 
@@ -139,12 +141,12 @@ class ModelBatch:
             up, rel = frames[fal >> n]
             yield PackedModel(n, up, rel, fal & full, self.props, tuple(v & full for v in vals))
 
-    def model(self, k: int) -> PackedModel:
-        """The k-th model of the batch."""
+    def checked_model(self, k: int) -> KripkeModel:
+        """The k-th model as ``to_model()`` makes it, canonical and checked, packed once."""
         n, full = self.n, (1 << self.n) - 1
         fal = int(self.fallible[k])
         f = fal >> n
-        return PackedModel(
+        return KripkeModel.of(
             n, tuple(self.up[f].tolist()), tuple(self.rel[f].tolist()),
             fal & full, self.props, tuple(v & full for v in self.vals[k].tolist()),
         )
@@ -173,14 +175,27 @@ def _pack_arrays(models: Sequence[PackedModel]) -> tuple[np.ndarray, ...]:
 
 
 def eval_packed_batch(
-    models: ModelBatch | Sequence[PackedModel], f: Formula, classical_diamond: bool = False
+    models: ModelBatch | Sequence[PackedModel], f: Formula | Program, classical_diamond: bool = False
 ) -> np.ndarray:
-    """Truth masks of f over a batch, or a list of models sharing world count and props."""
+    """Truth masks of f over a batch, or a list of models sharing world count and props.
+
+    f may be given compiled, so that a search over many batches compiles
+    it once.  The Program must then be compiled for the batch's prop
+    order, ``compile_formula(f, {p: k for k, p in enumerate(models.props)},
+    classical_diamond)``: atoms are read by position, and nothing checks
+    the order.  A Program carries its diamond clause, so classical_diamond
+    must then be left False.
+    """
     if not isinstance(models, ModelBatch):
         if not models:
             return np.empty(0, dtype=np.uint64)
         models = ModelBatch.of(models)
-    prog = compile_formula(f, {p: k for k, p in enumerate(models.props)}, classical_diamond)
+    if isinstance(f, Program):
+        if classical_diamond:
+            raise ValueError("a Program carries its diamond clause; compile it with classical_diamond")
+        prog = f
+    else:
+        prog = compile_formula(f, {p: k for k, p in enumerate(models.props)}, classical_diamond)
     out = np.empty(len(models), dtype=np.uint64)
     _kernel.eval_programs(
         prog.ops, prog.args, models.n, models.up_avoid,

@@ -461,6 +461,69 @@ class TestExportDot:
         assert not out_path.parent.exists()
 
 
+def _parity_corpus(tmp):
+    """argv lists over every subcommand, help, usage errors, abbreviations and '--'."""
+    dot = os.path.join(tmp, "out.dot")
+    commands = [
+        ["parse", "p -> [] <> p"],
+        ["check-model", "--model", FIG2],
+        ["eval", "--model", FIG2, "--world", "w", "--formula", "p"],
+        ["classify", "--model", FIG2],
+        ["find-countermodel", "p -> [] <> p", "--class", "ckb", "--max-worlds", "2"],
+        ["compare-classes", "<> p -> [] p", "--class-a", "ck", "--class-b", "ckb", "--max-worlds", "2"],
+        ["check-proof", NPROOF],
+        ["axioms", "list"],
+        ["export-dot", "--model", FIG2, "--out", dot],
+    ]
+    corpus = list(commands)
+    for argv in commands:
+        for flag in ("-h", "--help"):
+            corpus += [[flag, argv[0]], [argv[0], flag], argv + [flag]]
+    corpus += [
+        [], ["-h"], ["--help"], ["no-such-command"], ["no-such-command", "p"], ["--bogus"],
+        ["find-countermodel", "p", "--bogus"],
+        ["find-countermodel", "p", "q"],
+        ["find-countermodel", "p", "--max-w", "2"],
+        ["find-countermodel", "p", "--class=ckb", "--max-worlds=2"],
+        ["find-countermodel", "--", "p"],
+        ["find-countermodel", "p", "--", "q"],
+        ["find-countermodel", "p", "--max-worlds", "two"],
+        ["find-countermodel", "p", "--class", "kb"],
+        ["find-countermodel"],
+        ["compare-classes", "p", "--class-a", "ck"],
+        ["parse"], ["parse", "--", "~p"], ["parse", "p", "--bogus", "q"],
+        ["eval", "--model", FIG2, "--world", "w"],
+        ["axioms"], ["axioms", "bogus"], ["axioms", "list", "extra"], ["axioms", "-h", "list"],
+        ["check-proof"], ["-h", "bogus"],
+    ]
+    return corpus
+
+
+class TestArgumentParity:
+    """main parses with each subcommand's parser alone; the reference parses with the whole parser."""
+
+    def test_same_code_and_output(self, tmp_path, capsys, monkeypatch):
+        from ckkit import cli
+
+        for argv in _parity_corpus(str(tmp_path)):
+            got = run(capsys, *argv)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_parse_args", cli.build_parser().parse_args)
+                expected = run(capsys, *argv)
+            assert got == expected, argv
+
+    def test_argv_from_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["ckkit", "parse", "p->p"])
+        assert main() == 0
+        assert capsys.readouterr().out == "p -> p\n"
+
+    def test_leftover_arguments_reported_by_the_top_parser(self, capsys):
+        code, out, err = run(capsys, "find-countermodel", "p", "--bogus", "x")
+        assert (code, out) == (1, "")
+        assert err.endswith("ckkit: error: unrecognized arguments: --bogus x\n")
+        assert err.startswith("usage: ckkit [-h]")
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1

@@ -31,7 +31,7 @@ from ckkit.search import (
     preorders,
     sample_models,
 )
-from ckkit.semantics import ModelBatch, eval_packed, valid_in_model
+from ckkit.semantics import ModelBatch, compile_formula, eval_packed, valid_in_model
 
 
 class TestParams:
@@ -200,7 +200,7 @@ class TestEnumeration:
             again = ModelBatch.of(models)
             for name in ("up", "rel", "up_avoid", "box_table", "dia_table", "diac_table", "fallible", "vals"):
                 assert (getattr(again, name) == getattr(b, name)).all()
-            assert [b.model(k) for k in range(len(b))] == models
+            assert [b.checked_model(k) for k in range(len(b))] == [pm.to_model() for pm in models]
         for prev, b in zip(batches, batches[1:]):
             assert prev.n <= b.n
             if prev.n == b.n:
@@ -324,6 +324,19 @@ class TestBatchCache:
         assert after_all <= after_first + 4096
 
 
+def _first_failure(f, params):
+    """First failing model and lowest failing world, one model at a time, as find_countermodel reports it."""
+    examined = 0
+    for pm in enumerate_packed(params):
+        failing = ((1 << pm.n) - 1) & ~eval_packed(pm, f)
+        if failing:
+            world = (failing & -failing).bit_length() - 1
+            m = pm.to_model()
+            return Counterexample(m, m.worlds[world])
+        examined += 1
+    return NoneFound(params.max_worlds, params.props, examined)
+
+
 class TestFindCountermodel:
     def test_b_box_fails_in_ck(self):
         verdict = find_countermodel(parse("p -> [] <> p"), EnumParams(max_worlds=3, props=("p",)))
@@ -361,18 +374,6 @@ class TestFindCountermodel:
 
     @pytest.mark.parametrize("cls", ["CK", "CKB", "IK", "IKB"])
     def test_matches_brute_force_first_failure(self, cls):
-        # first failing model and lowest failing world, one model at a time
-        def brute_force(f, params):
-            examined = 0
-            for pm in enumerate_packed(params):
-                failing = ((1 << pm.n) - 1) & ~eval_packed(pm, f)
-                if failing:
-                    world = (failing & -failing).bit_length() - 1
-                    m = pm.to_model()
-                    return Counterexample(m, m.worlds[world])
-                examined += 1
-            return examined
-
         params = EnumParams(max_worlds=3, props=("p",), class_filter=cls)
         for text in (
             "p -> [] <> p",
@@ -382,13 +383,7 @@ class TestFindCountermodel:
             "[] (p -> p) -> [] p -> [] p",
         ):
             f = parse(text)
-            verdict = find_countermodel(f, params)
-            expected = brute_force(f, params)
-            if isinstance(expected, int):
-                assert isinstance(verdict, NoneFound), text
-                assert verdict.models_examined == expected, text
-            else:
-                assert verdict == expected, text
+            assert find_countermodel(f, params) == _first_failure(f, params), text
 
     @pytest.mark.parametrize("props", [(), ("p",), ("q", "r")])
     def test_atoms_missing_from_props(self, props):
@@ -399,6 +394,28 @@ class TestFindCountermodel:
             find_countermodel(f, EnumParams(max_worlds=2, props=props))
         with pytest.raises(ValueError, match="not among the props"):
             compare_classes([parse("p"), f], "CK", "IK", EnumParams(max_worlds=2, props=props))
+
+    def test_full_scan_compiles_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return compile_formula(*args, **kwargs)
+
+        monkeypatch.setattr(search, "compile_formula", counting)
+        params = EnumParams(max_worlds=3, props=("p",), class_filter="CKB")
+        verdict = find_countermodel(parse("p -> [] <> p"), params)
+        assert verdict == NoneFound(3, ("p",), 6522)
+        assert len(list(enumerate_batches(params))) > 1
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("cls", ["CK", "CKB", "IK", "IKB"])
+    def test_props_out_of_order(self, cls):
+        # the formula is compiled for the batches' prop order, not the sorted one
+        params = EnumParams(max_worlds=2, props=("q", "p"), class_filter=cls)
+        for text in ("q -> [] <> q", "<> p -> [] q", "(p -> q) | (q -> p)", "[] (p -> q) -> [] p -> [] q"):
+            f = parse(text)
+            assert find_countermodel(f, params) == _first_failure(f, params), text
 
     def test_search_is_deterministic(self):
         f = parse("[] p -> p")

@@ -9,6 +9,7 @@ from ckkit import _kernel
 from ckkit.formula import And, Atom, enumerate_formulas, parse
 from ckkit.kripke import (
     ModelDescription,
+    ModelValidationError,
     PackedModel,
     figure2_model,
     frame_report,
@@ -207,6 +208,16 @@ class TestBatch:
         for f in (parse("p -> [] <> p"), parse("<> p | [] ~p")):
             assert eval_packed_batch(mixed, f).tolist() == [eval_packed(pm, f) for pm in mixed]
 
+    def test_checked_model_sorts_props(self):
+        for b in enumerate_batches(EnumParams(max_worlds=2, props=("q", "p"))):
+            assert [b.checked_model(k) for k in range(len(b))] == [pm.to_model() for pm in b.models()]
+
+    def test_checked_model_checks(self):
+        # p true at w1 only, though w1 <= w2: a batch packs it, a model refuses it
+        batch = ModelBatch.of([PackedModel(2, (3, 2), (0, 0), 0, ("p",), (1,))])
+        with pytest.raises(ModelValidationError, match="valuation not monotone"):
+            batch.checked_model(0)
+
     def test_deep_formula(self):
         # 80 nested conjunctions leave 81 masks on the evaluation stack
         f = parse("p")
@@ -227,6 +238,37 @@ class TestBatch:
         assert len(compile_formula(f, {"p": 0}).ops) == 20_001
         assert eval_packed(m.packed, f) == expected
         assert eval_packed_batch([m.packed], f).tolist() == [expected]
+
+
+class TestCompiledProgram:
+    """eval_packed_batch on a Program compiled for the batch's prop order equals it on the formula."""
+
+    @pytest.mark.parametrize("props", [("p",), ("q", "p")])
+    def test_program_matches_formula(self, props):
+        formulas = list(enumerate_formulas(("p",), 4))
+        index = {p: k for k, p in enumerate(props)}
+        programs = {c: [compile_formula(f, index, c) for f in formulas] for c in (False, True)}
+        for cls in ("CK", "CKB", "IK", "IKB"):
+            for batch in enumerate_batches(EnumParams(max_worlds=3, props=props, class_filter=cls)):
+                for c in (False, True):
+                    for f, prog in zip(formulas, programs[c]):
+                        expected = eval_packed_batch(batch, f, c)
+                        assert np.array_equal(eval_packed_batch(batch, prog), expected), (cls, f, c)
+
+    def test_program_on_a_list_of_models(self):
+        models = [pm for pm in enumerate_packed(EnumParams(max_worlds=2, props=("q", "p"))) if pm.n == 2]
+        for text in ("p -> [] <> p", "<> q | [] ~p", "~~p -> p"):
+            f = parse(text)
+            for c in (False, True):
+                prog = compile_formula(f, {"q": 0, "p": 1}, c)
+                expected = [int(eval_packed(pm, f, c)) for pm in models]
+                assert eval_packed_batch(models, prog).tolist() == expected, (text, c)
+        assert eval_packed_batch([], compile_formula(parse("p"), {"p": 0})).size == 0
+
+    def test_program_carries_its_diamond_clause(self):
+        prog = compile_formula(parse("<> p"), {"p": 0})
+        with pytest.raises(ValueError, match="carries its diamond clause"):
+            eval_packed_batch([figure2_model().packed], prog, classical_diamond=True)
 
 
 class TestCompile:
@@ -307,7 +349,7 @@ class TestModalTables:
                 for classical in (False, True):
                     assert (eval_packed_batch(b, f, classical) < below).all()
             models = list(b.models())
-            assert models == [b.model(k) for k in range(len(b))]
+            assert [b.checked_model(k) for k in range(len(b))] == [pm.to_model() for pm in models]
             for pm in models:
                 assert all(m < below for m in (*pm.up, *pm.rel, pm.fallible, *pm.vals))
 

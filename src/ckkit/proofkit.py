@@ -10,13 +10,12 @@ proves the declared goal; rejection names the first failing step.
 contraction-free backward proof search (Dyckhoff's G4ip calculus).  Box
 and diamond subformulas are treated as opaque atoms, identical
 subformulas sharing one.  After the goal's invertible rules, one scan
-over the hypotheses applies the first invertible left rule that fits,
-and scans again; the non-invertible rules come last.  Formula nodes
-store their hashes (see ``formula``), so G4ip's sets and memo hash a
-sequent without walking its formulas.  The search itself recurses, once
-per sequent on a branch, and raises ``ProofSearchTooDeep`` (a
-``ValueError``) where it would pass the interpreter's recursion limit;
-``check_proof`` passes that error on.
+over the hypotheses, newest first, applies the first invertible left
+rule that fits, and scans again; the non-invertible rules come last, in
+the same order.  So its work follows the formula, not ``PYTHONHASHSEED``.
+The search itself recurses, once per sequent on a branch, and raises
+``ProofSearchTooDeep`` (a ``ValueError``) where it would pass the
+interpreter's recursion limit; ``check_proof`` passes that error on.
 """
 
 from __future__ import annotations
@@ -68,67 +67,67 @@ __all__ = [
 _memo: dict[tuple[frozenset, Formula], bool] = {}
 
 
-def _prove(gamma: frozenset, goal: Formula) -> bool:
-    key = (gamma, goal)
-    cached = _memo.get(key)
-    if cached is not None:
-        return cached
-    result = _prove_uncached(set(gamma), goal)
-    _memo[key] = result
-    return result
-
-
-def _prove_uncached(gamma: set, goal: Formula) -> bool:
+def _prove(gamma: dict, goal: Formula) -> bool:
+    """Whether hypotheses gamma (dict keys, oldest first) prove goal.  gamma
+    is never changed: premises share it, and a rule that changes it copies it."""
     if FALSE in gamma or goal in gamma:
         return True
+    key = (frozenset(gamma), goal)
+    cached = _memo.get(key)
+    if cached is None:
+        cached = _memo[key] = _prove_uncached(gamma, goal)
+    return cached
+
+
+def _prove_uncached(gamma: dict, goal: Formula) -> bool:
     kind = type(goal)
     if kind is And:
-        g = frozenset(gamma)
-        return _prove(g, goal.left) and _prove(g, goal.right)
+        return _prove(gamma, goal.left) and _prove(gamma, goal.right)
     if kind is Implies:
-        return _prove(frozenset(gamma | {goal.left}), goal.right)
+        return _prove(gamma | {goal.left: None}, goal.right)
     # The invertible left rules: the first that fits a hypothesis f replaces
-    # it by those in new; a scan that finds none ends the saturation.
+    # it by those in new, added last, on a copy of the given gamma; a scan
+    # that finds none ends the saturation.
+    given = gamma
     while True:
-        for f in list(gamma):
+        for f in reversed(gamma):
             kind = type(f)
             if kind is And:
-                new = (f.left, f.right)
+                new = {f.left: None, f.right: None}
             elif kind is Or:
-                gamma.remove(f)
-                return (_prove(frozenset(gamma | {f.left}), goal)
-                        and _prove(frozenset(gamma | {f.right}), goal))
+                rest = gamma.copy()
+                del rest[f]
+                return _prove(rest | {f.left: None}, goal) and _prove(rest | {f.right: None}, goal)
             elif kind is not Implies:
                 continue
             elif type(a := f.left) is Falsum:
-                new = ()  # falsum is never in gamma here: f is inert
+                new = {}  # falsum is never in gamma here: f is inert
             elif a in gamma:
-                new = (f.right,)
+                new = {f.right: None}
             elif type(a) is And:
-                new = (Implies(a.left, Implies(a.right, f.right)),)
+                new = {Implies(a.left, Implies(a.right, f.right)): None}
             elif type(a) is Or:
-                new = (Implies(a.left, f.right), Implies(a.right, f.right))
+                new = {Implies(a.left, f.right): None, Implies(a.right, f.right): None}
             else:
                 continue
-            gamma.remove(f)
-            gamma.update(new)
+            if gamma is given:
+                gamma = gamma.copy()
+            del gamma[f]
+            gamma |= new
             break
         else:
             break
         if FALSE in gamma or goal in gamma:
             return True
-    # Non-invertible choices.
-    if type(goal) is Or:
-        g = frozenset(gamma)
-        if _prove(g, goal.left) or _prove(g, goal.right):
-            return True
-    for f in gamma:
-        if type(f) is Implies and type(f.left) is Implies:
-            rest = frozenset(gamma - {f})
-            nested = f.left
-            if _prove(rest | {Implies(nested.right, f.right)}, nested) and _prove(
-                rest | {f.right}, goal
-            ):
+    # Non-invertible choices, newest hypothesis first.
+    if type(goal) is Or and (_prove(gamma, goal.left) or _prove(gamma, goal.right)):
+        return True
+    for f in reversed(gamma):
+        if type(f) is Implies and type(nested := f.left) is Implies:
+            rest = gamma.copy()
+            del rest[f]
+            if (_prove(rest | {Implies(nested.right, f.right): None}, nested)
+                    and _prove(rest | {f.right: None}, goal)):
                 return True
     return False
 
@@ -146,7 +145,7 @@ def ipc_valid(f: Formula) -> bool:
     one with hundreds of disjunctive hypotheses, can be too deep to search.
     """
     try:
-        return _prove(frozenset(), f)
+        return _prove({}, f)
     except RecursionError:
         raise ProofSearchTooDeep(
             f"formula too deep for G4ip's recursive proof search "

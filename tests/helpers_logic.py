@@ -6,7 +6,8 @@ serve as a second opinion.
 """
 
 import random
-from functools import reduce
+from collections import defaultdict
+from functools import lru_cache, reduce
 from itertools import product
 
 from ckkit.formula import (
@@ -27,9 +28,16 @@ from ckkit.proofkit import AxiomInst, MP, Nec, ProofScript, Taut
 # slow recursive forcing over a KripkeModel (reference for the kernel)
 
 
+@lru_cache(maxsize=1024)
+def successor_lists(pairs):
+    """Each world's successors under a relation given as a frozenset of pairs."""
+    succ = defaultdict(list)
+    for a, v in pairs:
+        succ[a].append(v)
+    return dict(succ)
+
+
 def force(m, w, f, classical_diamond=False):
-    up = lambda x: [v for (a, v) in m.order if a == x]
-    succ = lambda x: [v for (a, v) in m.relation if a == x]
     if isinstance(f, Atom):
         return w in m.valuation.get(f.name, m.fallible)
     if isinstance(f, Falsum):
@@ -38,23 +46,25 @@ def force(m, w, f, classical_diamond=False):
         return force(m, w, f.left, classical_diamond) and force(m, w, f.right, classical_diamond)
     if isinstance(f, Or):
         return force(m, w, f.left, classical_diamond) or force(m, w, f.right, classical_diamond)
+    up = successor_lists(m.order).get
+    succ = successor_lists(m.relation).get
     if isinstance(f, Implies):
         return all(
             not force(m, v, f.left, classical_diamond) or force(m, v, f.right, classical_diamond)
-            for v in up(w)
+            for v in up(w, ())
         )
     if isinstance(f, Box):
         return all(
             force(m, u, f.inner, classical_diamond)
-            for v in up(w)
-            for u in succ(v)
+            for v in up(w, ())
+            for u in succ(v, ())
         )
     if isinstance(f, Diamond):
         if classical_diamond:
-            return any(force(m, u, f.inner, True) for u in succ(w))
+            return any(force(m, u, f.inner, True) for u in succ(w, ()))
         return all(
-            any(force(m, u, f.inner, False) for u in succ(v))
-            for v in up(w)
+            any(force(m, u, f.inner, False) for u in succ(v, ()))
+            for v in up(w, ())
         )
     raise TypeError(f)
 

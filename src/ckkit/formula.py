@@ -28,9 +28,9 @@ prints and ``parse`` reads back.
 
 Formulas built in code may be deeper: every function here that walks a
 formula, and ``semantics.compile_formula``, loops over one iterative walk;
-``==``, ``repr`` and pickling loop over nodes too, copying returns the
-node itself, and ``hash`` returns the value each node stored when it was
-built; ``==`` takes one step per distinct pair of nodes.  Only
+``repr`` and pickling loop over nodes too.  Equal formulas are one object
+(see ``_Node``), so ``==`` and ``hash`` take one step, copying returns the
+node itself, and threads may build formulas at once.  Only
 ``proofkit.ipc_valid`` recurses, and it raises
 ``proofkit.ProofSearchTooDeep`` past the recursion limit.
 """
@@ -38,6 +38,9 @@ built; ``==`` takes one step per distinct pair of nodes.  Only
 from __future__ import annotations
 
 import re
+import threading
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
@@ -68,18 +71,18 @@ __all__ = [
 
 
 class _Node:
-    """Shared behaviour of the seven constructors: immutable, slotted nodes.
+    """Shared behaviour of the seven constructors: immutable, slotted, interned nodes.
 
-    A node's hash is computed once, when it is built, from its operands'
-    stored hashes.  It equals the hash a frozen dataclass gives, the tuple
-    hash of its fields (``hash((left, right))``, ``hash((inner,))``,
-    ``hash((name,))`` or ``hash(())``), so sets of formulas iterate in the
-    same order, and G4ip searches in the same order, as with dataclasses.
-    ``==`` compares each distinct pair of operands once, after types and hashes
-    agree; ``==``, ``repr`` and pickling do not recurse.  ``__match_args__`` names fields.
+    A constructor returns the one live node for its arguments, keyed by an
+    atom's name or by a node's class and operands, which, being interned,
+    key by identity; falsum is one node.  So equal formulas are one object:
+    ``==`` is ``is`` and the hash is ``object.__hash__``, in C at any depth.
+    ``_nodes`` holds the nodes weakly; a lock guards its miss path, so threads
+    that build one formula at once get one node.  Unpickling and copying return
+    the interned node.  ``atom_names`` stores its answer in ``_atoms``.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_atoms", "__weakref__")
     __match_args__: tuple[str, ...] = ()
 
     def __setattr__(self, name, value):
@@ -87,40 +90,6 @@ class _Node:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        if self._hash != other._hash:
-            return False
-        if type(self) is Atom:  # the common case: atoms built apart
-            return self.name == other.name
-        todo = [(self, other)]
-        seen = set()  # the operand pairs pushed: each is compared once
-        while todo:
-            a, b = todo.pop()
-            for name in a.__match_args__:
-                x = getattr(a, name)
-                y = getattr(b, name)
-                if x is y:
-                    continue
-                if type(x) is Atom:
-                    if type(y) is not Atom or x.name != y.name:
-                        return False
-                elif isinstance(x, _Node):
-                    if type(x) is not type(y) or x._hash != y._hash:
-                        return False
-                    if (id(x), id(y)) not in seen:
-                        seen.add((id(x), id(y)))
-                        todo.append((x, y))
-                elif x != y:
-                    return False
-        return True
 
     def __repr__(self) -> str:
         # Pre-order over nodes and the text between them, e.g.
@@ -150,8 +119,7 @@ class _Node:
     def __reduce__(self):
         # A flat table, one entry per distinct node object, operands first:
         # its type, then an atom's name or the operands' entry numbers.  It
-        # loads at any depth, keeps shared nodes shared, and hashes afresh:
-        # string hashes differ between processes.
+        # loads at any depth, through the constructors, so as interned nodes.
         number: dict[int, int] = {}
         table = []
         todo = [self]
@@ -173,39 +141,79 @@ class _Node:
         return _from_table, (tuple(table),)
 
 
+# The intern table: key -> weak reference to the live node.  A reference's
+# callback drops its entry if it is still dead, atomically, without the lock.
+_nodes: dict = {}
+_lock = threading.Lock()
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _drop(ref: _Ref) -> None:
+    _remove_dead_weakref(_nodes, ref.key)
+
+
+def _add(key, node: "Formula") -> "Formula":
+    """Intern node under key; return it, or the live node another thread interned first."""
+    ref = _Ref(node, _drop)
+    ref.key = key
+    with _lock:
+        old = _nodes.get(key)
+        if old is not None and (live := old()) is not None:
+            return live
+        _nodes[key] = ref
+    return node
+
+
 class Atom(_Node):
     __slots__ = ("name",)
     __match_args__ = ("name",)
 
-    def __init__(self, name: str):
-        _set_name(self, name)
-        _set_hash(self, hash((name,)))
+    def __new__(cls, name: str):
+        ref = _nodes.get(name)
+        if ref is None or (node := ref()) is None:
+            node = object.__new__(cls)
+            _set_name(node, name)
+            node = _add(name, node)
+        return node
 
 
 class Falsum(_Node):
     __slots__ = ()
 
-    def __init__(self):
-        _set_hash(self, hash(()))
+    def __new__(cls):
+        return FALSE
 
 
 class _Binary(_Node):
     __slots__ = ("left", "right")
     __match_args__ = ("left", "right")
 
-    def __init__(self, left: "Formula", right: "Formula"):
-        _set_left(self, left)
-        _set_right(self, right)
-        _set_hash(self, hash((left, right)))
+    def __new__(cls, left: "Formula", right: "Formula"):
+        key = (cls, left, right)
+        ref = _nodes.get(key)
+        if ref is None or (node := ref()) is None:
+            node = object.__new__(cls)
+            _set_left(node, left)
+            _set_right(node, right)
+            node = _add(key, node)
+        return node
 
 
 class _Unary(_Node):
     __slots__ = ("inner",)
     __match_args__ = ("inner",)
 
-    def __init__(self, inner: "Formula"):
-        _set_inner(self, inner)
-        _set_hash(self, hash((inner,)))
+    def __new__(cls, inner: "Formula"):
+        key = (cls, inner)
+        ref = _nodes.get(key)
+        if ref is None or (node := ref()) is None:
+            node = object.__new__(cls)
+            _set_inner(node, inner)
+            node = _add(key, node)
+        return node
 
 
 def _from_table(table: tuple) -> "Formula":
@@ -218,7 +226,7 @@ def _from_table(table: tuple) -> "Formula":
 
 # The constructors write their slots through the slot descriptors, which
 # __setattr__ does not guard: cheaper than object.__setattr__ by name.
-_set_hash = _Node._hash.__set__
+_set_atoms = _Node._atoms.__set__
 _set_name = Atom.name.__set__
 _set_left = _Binary.left.__set__
 _set_right = _Binary.right.__set__
@@ -247,7 +255,7 @@ class Diamond(_Unary):
 
 Formula = Union[Atom, Falsum, And, Or, Implies, Box, Diamond]
 
-FALSE = Falsum()
+FALSE = object.__new__(Falsum)  # the one node Falsum() returns
 TRUE = Implies(FALSE, FALSE)
 
 
@@ -482,8 +490,10 @@ def substitute(schema: Formula, assignment: Mapping[str, Formula]) -> Formula:
 
 
 def atom_names(f: Formula) -> frozenset[str]:
-    """The names of the atoms of f; analyze(f).atoms, without the other statistics."""
-    return frozenset([g.name for g in _postorder(f) if type(g) is Atom])
+    """The names of the atoms of f, as analyze(f).atoms; stored on f when first asked."""
+    if not hasattr(f, "_atoms"):
+        _set_atoms(f, frozenset([g.name for g in _postorder(f) if type(g) is Atom]))
+    return f._atoms
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,9 @@ subformulas sharing one.  After the goal's invertible rules, one scan
 over the hypotheses, newest first, applies the first invertible left
 rule that fits, and scans again; the non-invertible rules come last, in
 the same order.  So its work follows the formula, not ``PYTHONHASHSEED``.
+Formulas are hash-consed (see ``formula._Node``), so the hypothesis dict
+and the sequent memo's ``(frozenset(gamma), goal)`` keys hash and compare
+nodes by identity, in C.
 The search itself recurses, once per sequent on a branch, and raises
 ``ProofSearchTooDeep`` (a ``ValueError``) where it would pass the
 interpreter's recursion limit; ``check_proof`` passes that error on.

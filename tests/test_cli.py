@@ -7,10 +7,10 @@ import pytest
 import ckkit
 from ckkit import data_path
 from ckkit.cli import main
-from ckkit.formula import MAX_DEPTH, parse
+from ckkit.formula import MAX_DEPTH, parse, render
 from ckkit.kripke import format_model
 
-from helpers_logic import NESTINGS, force, nested_text, wide_model
+from helpers_logic import NESTINGS, de_bruijn, force, nested_text, wide_model
 
 FIG2 = str(data_path("fig2.km"))
 NPROOF = str(data_path("n_in_ckb.proof"))
@@ -287,6 +287,47 @@ class TestFindCountermodel:
         from ckkit.formula import parse as fparse
 
         assert eval_formula(m, world, fparse("p -> [] <> p")) is False
+
+    def test_one_walk_for_the_atoms(self, capsys, monkeypatch):
+        # The CLI's atom check and find_countermodel's share one walk: the
+        # first stores the atoms on the formula.  The text is one no other
+        # test builds, so no live node has its atoms stored yet.
+        from ckkit import formula
+
+        text = "(one_walk -> [] <> one_walk) & <> (p | ~p)"
+        walked = []
+        walk = formula._postorder
+
+        def counted(f):
+            walked.append(f)
+            return walk(f)
+
+        monkeypatch.setattr(formula, "_postorder", counted)
+        code, out, _ = run(capsys, "find-countermodel", text, "--props", "p,one_walk")
+        assert code == 2 and out.startswith("COUNTEREXAMPLE\n")
+        assert walked == [parse(text)]
+
+    def test_nothing_on_stderr(self, tmp_path):
+        # the intern table's weak references die at interpreter shutdown too
+        src = os.path.dirname(os.path.dirname(ckkit.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        script = tmp_path / "debruijn.proof"
+        text = render(de_bruijn(2))
+        script.write_text(f"logic: CK\ngoal: {text}\n1. taut {text}\n")
+        peirce = tmp_path / "peirce.proof"
+        peirce.write_text("logic: CK\ngoal: ((p -> q) -> p) -> p\n1. taut ((p -> q) -> p) -> p\n")
+        for argv, code in (
+            (("find-countermodel", "p -> [] <> p", "--max-worlds", "2"), 2),
+            (("find-countermodel", "p -> [] <> p", "--class", "ckb", "--max-worlds", "2"), 0),
+            (("check-proof", str(script)), 0),
+            (("check-proof", str(peirce)), 1),
+            (("check-proof", NPROOF), 0),
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ckkit.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert (proc.returncode, proc.stderr) == (code, ""), argv
 
 
 class TestCompareClasses:

@@ -1,15 +1,19 @@
 import copy
+import gc
 import os
 import pickle
 import random
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import make_dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ckkit
+from ckkit import formula
 from ckkit.formula import (
     And,
     Atom,
@@ -285,12 +289,13 @@ class TestWalkersAtDepth:
         order = [position[id(g)] for g in reversed(spine)]
         assert order == sorted(order)
 
-        # ==, hash and repr: against a copy built again, node by node, and
-        # against one whose innermost leaf differs
+        # == and repr: built again, node by node, the spine is the same
+        # object; one whose innermost leaf differs is another
         same = spine_formula(seed)[0]
         other = spine_formula(seed, first_leaf=Atom("r"))[0]
-        assert same is not f and hash(same) == hash(f)
-        assert same == f and not same != f
+        identical, distinct = same is f, other is not f  # no repr on failure
+        assert identical and distinct
+        assert same == f and not same != f and hash(same) == hash(f)
         assert other != f and not other == f
         assert repr(f) == expected_repr
         ctx = EvalContext(figure2_model())
@@ -298,19 +303,15 @@ class TestWalkersAtDepth:
 
 
 class TestNode:
-    """The hand-written nodes behave like the frozen dataclasses they replace."""
+    """The hand-written nodes print like frozen dataclasses, and equal ones are one object."""
 
-    def test_hash_is_the_tuple_hash_of_the_fields(self):
-        for f in enumerate_formulas(("p", "q"), 5):
-            if isinstance(f, Atom):
-                expected = hash((f.name,))
-            elif isinstance(f, Falsum):
-                expected = hash(())
-            elif isinstance(f, (Box, Diamond)):
-                expected = hash((f.inner,))
-            else:
-                expected = hash((f.left, f.right))
-            assert hash(f) == expected, f
+    def test_hash_is_stable_and_equal_texts_hash_alike(self):
+        fs = enumerate_formulas(("p", "q"), 5)
+        hashes = [hash(f) for f in fs]
+        assert [hash(f) for f in fs] == hashes
+        # parsed while the first parse is alive, a text is the same node
+        again = [parse(render(f)) for f in fs]
+        assert [hash(f) for f in again] == hashes
 
     def test_repr_and_eq_match_dataclasses(self):
         # frozen dataclasses with the same names and fields, built node by node
@@ -331,14 +332,16 @@ class TestNode:
             return done[0]
 
         fs = enumerate_formulas(("p", "q"), 4)
-        for f in fs:
-            d = as_dataclass(f)
+        mirrors = [as_dataclass(f) for f in fs]
+        for f, d in zip(fs, mirrors):
             assert repr(f) == repr(d)
-            assert hash(f) == hash(d)
         assert repr(Implies(P, FALSE)) == "Implies(left=Atom(name='p'), right=Falsum())"
-        # == is structural, and False between different constructors
+        # two formulas are one object exactly when their dataclasses are equal
+        for f, d in zip(fs, mirrors):
+            for g, e in zip(fs, mirrors):
+                assert (f is g) == (d == e), (f, g)
         for f, g in zip(fs, enumerate_formulas(("p", "q"), 4)):
-            assert f == g and hash(f) == hash(g)
+            assert f is g
         assert And(P, Q) != Or(P, Q)
         assert Atom("p") != "p" and not Atom("p") == "p"
         assert Box(P) != Box(Q) and Box(P) == Box(Atom("p"))
@@ -350,7 +353,7 @@ class TestNode:
 
     @pytest.mark.parametrize("f", [P, FALSE, And(P, Q), Box(Diamond(P))], ids=repr)
     def test_immutable(self, f):
-        for name in (*type(f).__match_args__, "_hash", "other"):
+        for name in (*type(f).__match_args__, "_atoms", "other"):
             with pytest.raises(AttributeError):
                 setattr(f, name, Q)
             with pytest.raises(AttributeError):
@@ -359,13 +362,14 @@ class TestNode:
     def test_copy_and_pickle(self):
         for f in enumerate_formulas(("p", "q"), 4):
             for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
-                assert type(g) is type(f) and g == f and hash(g) == hash(f)
+                assert g is f
 
     def test_pickle_and_copy_at_any_depth(self):
         f = spine_formula(0)[0]
-        g = pickle.loads(pickle.dumps(f))
-        assert g is not f and g == f and hash(g) == hash(f)
-        assert copy.deepcopy(f) == f
+        identical = pickle.loads(pickle.dumps(f)) is f  # no repr on failure
+        assert identical
+        identical = copy.deepcopy(f) is f
+        assert identical
         # each distinct node is stored once: a 60-level DAG, 2**60 atoms as
         # a tree, pickles small and loads with its sharing intact
         d = P
@@ -374,14 +378,18 @@ class TestNode:
         data = pickle.dumps(d)
         assert len(data) < 2048
         e = pickle.loads(data)
+        identical = e is d  # the repr of a failure would print 2**60 atoms
+        assert identical
         for _ in range(60):
-            assert type(e) is And and e.left is e.right
+            shared = type(e) is And and e.left is e.right
+            assert shared
             e = e.left
-        assert e == P
+        assert e is P
 
     def test_eq_on_shared_subformulas(self):
-        # a 60-level DAG, 2**60 atoms as a tree: == compares each distinct
-        # pair of nodes once, so it answers at once whatever the sharing
+        # a 60-level DAG, 2**60 atoms as a tree: built again or loaded, it
+        # is the same object, so == answers at once whatever the sharing.
+        # Each check is a bool first: the repr of a failure would not end.
         def dag(leaf):
             d = leaf
             for _ in range(60):
@@ -390,16 +398,15 @@ class TestNode:
 
         d = dag(P)
         copied = pickle.loads(pickle.dumps(d))
-        assert copied is not d and copied == d and not copied != d
-        assert dag(P) == d
+        checks = [copied is d, copied == d, not copied != d, dag(P) is d]
         # the same DAG with its one leaf changed
-        assert dag(Q) != d and not dag(Q) == d
-        assert And(d, copied) == And(copied, d)
-        assert And(d, dag(Q)) != And(copied, d)
+        checks += [dag(Q) is not d, dag(Q) != d, not dag(Q) == d]
+        checks += [And(d, copied) is And(copied, d), And(d, dag(Q)) is not And(copied, d)]
+        assert checks == [True] * 9
 
     def test_pickle_across_hash_seeds(self, tmp_path):
-        # A stored hash would go stale in a process with other string hashes,
-        # so a loaded formula must hash like one parsed there.
+        # A formula loaded in a process with other string hashes is the node
+        # parsed there, and hashes like it.
         texts = ["p", "false", "[] (p & <> q) -> false | p", "~ (p_1 | q) -> <> r"]
         src = os.path.dirname(os.path.dirname(ckkit.__file__))
         path = tmp_path / "formulas.pickle"
@@ -407,17 +414,17 @@ class TestNode:
             "import pickle, sys\n"
             "from ckkit.formula import parse\n"
             "pickle.dump([parse(t) for t in sys.argv[2:]], open(sys.argv[1], 'wb'))\n"
-            "print(hash(parse(sys.argv[2])))\n"
+            "print(hash(sys.argv[2]))\n"
         )
         load = (
             "import pickle, sys\n"
             "from ckkit.formula import parse\n"
             "loaded = pickle.load(open(sys.argv[1], 'rb'))\n"
             "fresh = [parse(t) for t in sys.argv[2:]]\n"
-            "assert loaded == fresh\n"
+            "assert loaded == fresh and all(f is g for f, g in zip(loaded, fresh))\n"
             "assert [hash(f) for f in loaded] == [hash(f) for f in fresh]\n"
             "assert all(f in set(fresh) for f in loaded)\n"
-            "print(hash(fresh[0]))\n"
+            "print(hash(sys.argv[2]))\n"
         )
         seen = []
         for code, seed in ((dump, "1"), (load, "2")):
@@ -430,6 +437,76 @@ class TestNode:
             seen.append(proc.stdout)
         # the two processes hash "p" differently
         assert seen[0] != seen[1]
+
+
+class _YieldingTable(dict):
+    """An intern table whose lookups let other threads run before they return."""
+
+    def get(self, key, default=None):
+        found = dict.get(self, key, default)
+        time.sleep(0)
+        return found
+
+
+class TestInterning:
+    """Equal formulas are one object, across threads, and dead ones leave the table."""
+
+    def test_threads_racing_get_the_same_nodes(self, monkeypatch):
+        # In each round, 8 threads wait at a barrier, then each builds the 114
+        # formulas of enumerate_formulas(("p",), 4) from scratch, node by node
+        # from a table of kinds and operand numbers.  Every lookup in the
+        # intern table lets another thread run, so the threads meet on the
+        # miss path of each node.
+        fs = enumerate_formulas(("p",), 4)
+        number = {f: k for k, f in enumerate(fs)}
+        table = [
+            (type(f), f.name) if type(f) is Atom
+            else (type(f), *[number[getattr(f, name)] for name in type(f).__match_args__])
+            for f in fs
+        ]
+        assert len(table) == 114
+        expected = [repr(f) for f in fs]
+        del fs, number  # of these nodes, only the atom p stays alive
+        monkeypatch.setattr(formula, "_nodes", _YieldingTable(formula._nodes))
+
+        def build(k):
+            barrier.wait()
+            nodes = []
+            for kind, *args in table:
+                nodes.append(kind(*args) if kind is Atom else kind(*[nodes[j] for j in args]))
+            built[k] = nodes
+
+        threads = 8
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(5):
+                barrier = threading.Barrier(threads, timeout=60)
+                built = [None] * threads
+                workers = [threading.Thread(target=build, args=(k,)) for k in range(threads)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=60)
+                assert not any(w.is_alive() for w in workers)
+                assert [repr(f) for f in built[0]] == expected
+                for nodes in built[1:]:
+                    assert all(f is g for f, g in zip(nodes, built[0]))
+                # the nodes that lost a race died without taking the winners'
+                # entries with them
+                assert all(f is g for f, g in zip(enumerate_formulas(("p",), 4), built[0]))
+                del built, nodes  # the next round builds from scratch
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_dead_nodes_leave_the_table(self):
+        gc.collect()
+        before = len(formula._nodes)
+        nodes = [Box(Atom(f"dead_{k}")) for k in range(50_000)]
+        assert len(formula._nodes) == before + 100_000
+        del nodes
+        gc.collect()
+        assert len(formula._nodes) == before
 
 
 class TestNotAFormula:

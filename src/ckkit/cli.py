@@ -7,10 +7,16 @@ Exit codes: 0 success, 1 usage/IO/validation error or output closed
 early by its reader, 2 reserved by find-countermodel for "counterexample
 found".
 
-Arguments are parsed once: a known subcommand's arguments by that
-subcommand's parser alone, anything else (-h, no arguments, an unknown
-command) by the top-level parser.  Leftover arguments are reported by
-the top-level parser, so every usage message reads as the full parser's.
+Arguments are parsed once.  A known subcommand's arguments in the plain
+form COMMAND [POSITIONAL] (--OPTION VALUE | --FLAG)... are read from a
+table built at import from that subcommand's own parser; its other
+arguments (help, an abbreviation, --opt=value, '--', a value that starts
+with '-', a repeated, missing or bad argument) by that parser alone;
+anything else (-h, no arguments, an unknown command) by the top-level
+parser.  So build_parser() is the one declaration of the arguments and
+the only source of help and error text.  Leftover arguments are reported
+by the top-level parser, so every usage message reads as the full
+parser's.
 """
 
 from __future__ import annotations
@@ -255,12 +261,87 @@ _PARSER = build_parser()
 _SUBPARSERS = next(a.choices for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction))
 
 
+def _plain_table(parser: argparse.ArgumentParser) -> tuple | None:
+    """A subcommand's arguments as a table that _read_plain reads, or None.
+
+    The table is (options, positional, required, defaults): the action of
+    each exact option string, the positional action (or None), the required
+    actions, and the Namespace before any argument is read, where an
+    action's default overrides the parser's set_defaults as in argparse.
+    Only a parser whose actions are help, store_true or one-value store
+    actions, with at most one positional, gets a table.
+    """
+    options, positional, defaults = {}, None, dict(parser._defaults)
+    for a in parser._actions:
+        if type(a) is argparse._HelpAction:
+            continue  # -h is no key of options, so argparse prints the help
+        if type(a) not in (argparse._StoreAction, argparse._StoreTrueAction) or a.nargs not in (None, "?", 0):
+            return None
+        defaults[a.dest] = a.default
+        options.update(dict.fromkeys(a.option_strings, a))
+        if not a.option_strings:
+            if positional is not None:  # argparse shares tokens among positionals its own way
+                return None
+            positional = a
+    required = frozenset(a for a in parser._actions if a.required)
+    return options, positional, required, defaults
+
+
+def _read_plain(table: tuple, command: str, tokens: list[str]) -> argparse.Namespace | None:
+    """The Namespace argparse gives for tokens, or None if argparse must read them.
+
+    Reads only the plain form [POSITIONAL] (--OPTION VALUE | --FLAG)... in
+    any order: each token that starts with '-' is an exact option string
+    given once, and each value converts by its type and is among its
+    choices.  Anything else (help, an abbreviation, --opt=value, '--', a
+    value that starts with '-', a repeated, extra or missing argument, a
+    bad value) is left to argparse, which parses or reports it.
+    """
+    options, positional, required, defaults = table
+    values = dict(defaults, command=command)
+    seen = set()
+    tokens = iter(tokens)
+    for token in tokens:
+        action = options.get(token) if token.startswith("-") else positional
+        if action is None or action in seen:
+            return None
+        seen.add(action)
+        if action.nargs == 0:  # store_true
+            values[action.dest] = action.const
+            continue
+        value = next(tokens, None) if action.option_strings else token
+        if value is None or value.startswith("-"):  # argparse may read it as an option
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except ValueError:
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not required <= seen:
+        return None
+    args = argparse.Namespace()
+    vars(args).update(values)
+    return args
+
+
+# the tables of the subcommands that have one: every one but axioms, whose
+# nested subcommand argparse reads
+_TABLES = {name: table for name, sub in _SUBPARSERS.items() if (table := _plain_table(sub)) is not None}
+
+
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """_PARSER.parse_args(argv), parsing a known subcommand's arguments with its parser alone."""
+    """_PARSER.parse_args(argv), reading a known subcommand's arguments from its table or its parser alone."""
     argv = sys.argv[1:] if argv is None else list(argv)
     sub = _SUBPARSERS.get(argv[0]) if argv else None
     if sub is None:  # -h, no arguments or an unknown command: the top parser reports it
         return _PARSER.parse_args(argv)
+    table = _TABLES.get(argv[0])
+    args = None if table is None else _read_plain(table, argv[0], argv[1:])
+    if args is not None:
+        return args
     args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extras:
         _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")

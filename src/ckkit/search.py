@@ -91,6 +91,8 @@ class EnumParams:
     def __post_init__(self):
         if self.class_filter not in CLASSES:
             raise ValueError(f"unknown class {self.class_filter!r}")
+        if not isinstance(self.max_worlds, int) or isinstance(self.max_worlds, bool):
+            raise ValueError(f"max_worlds must be an int, not {self.max_worlds!r}")
         if self.max_worlds < 1:
             raise ValueError("max_worlds must be at least 1")
         if self.max_worlds > CAP_WORLDS:
@@ -99,13 +101,15 @@ class EnumParams:
             )
         if isinstance(self.props, str):
             raise ValueError(f"props must be a sequence of names, not the string {self.props!r}")
-        if len(self.props) > CAP_PROPS:
-            raise EnumerationCapError(
-                f"{len(self.props)} propositions exceed the cap of {CAP_PROPS}"
-            )
-        object.__setattr__(self, "props", tuple(self.props))
-        if not all(map(is_atom_name, self.props)) or len(set(self.props)) < len(self.props):
-            raise ValueError(f"proposition names must be distinct atom names: {self.props}")
+        try:
+            props = tuple(self.props)
+        except TypeError:
+            raise ValueError(f"props must be a sequence of names, not {self.props!r}") from None
+        object.__setattr__(self, "props", props)
+        if len(props) > CAP_PROPS:
+            raise EnumerationCapError(f"{len(props)} propositions exceed the cap of {CAP_PROPS}")
+        if not all(isinstance(p, str) and is_atom_name(p) for p in props) or len(set(props)) < len(props):
+            raise ValueError(f"proposition names must be distinct atom names: {props}")
 
     @property
     def allow_fallible(self) -> bool:

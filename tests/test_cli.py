@@ -502,24 +502,79 @@ class TestExportDot:
         assert not out_path.parent.exists()
 
 
-def _parity_corpus(tmp):
-    """argv lists over every subcommand, help, usage errors, abbreviations and '--'."""
+def _requests(tmp):
+    """One accepted request per subcommand, as groups of tokens: a positional, an option and its value, a flag."""
+    formulas = os.path.join(tmp, "formulas.txt")
+    with open(formulas, "w", encoding="utf-8") as fh:
+        fh.write("p -> p\n<> p -> [] p\n")
     dot = os.path.join(tmp, "out.dot")
-    commands = [
-        ["parse", "p -> [] <> p"],
-        ["check-model", "--model", FIG2],
-        ["eval", "--model", FIG2, "--world", "w", "--formula", "p"],
-        ["classify", "--model", FIG2],
-        ["find-countermodel", "p -> [] <> p", "--class", "ckb", "--max-worlds", "2"],
-        ["compare-classes", "<> p -> [] p", "--class-a", "ck", "--class-b", "ckb", "--max-worlds", "2"],
-        ["check-proof", NPROOF],
-        ["axioms", "list"],
-        ["export-dot", "--model", FIG2, "--out", dot],
-    ]
-    corpus = list(commands)
-    for argv in commands:
-        for flag in ("-h", "--help"):
-            corpus += [[flag, argv[0]], [argv[0], flag], argv + [flag]]
+    return formulas, {
+        "parse": [["p -> [] <> p"]],
+        "check-model": [["--model", FIG2], ["--preceq-closure", "on"]],
+        "eval": [["--model", FIG2], ["--world", "w"], ["--formula", "p"]],
+        "classify": [["--model", FIG2]],
+        "find-countermodel": [["p -> [] <> p"], ["--class", "ckb"], ["--max-worlds", "2"],
+                              ["--require-symmetric"]],
+        "compare-classes": [["<> p -> [] p"], ["--class-a", "ck"], ["--class-b", "ckb"], ["--max-worlds", "2"]],
+        "check-proof": [[NPROOF]],
+        "axioms": [["list"]],
+        "export-dot": [["--model", FIG2], ["--out", dot]],
+    }
+
+
+def _unique_prefix(option, options):
+    """The shortest proper prefix of option that no other option string starts with, else the longest."""
+    for k in range(3, len(option)):
+        if not any(other.startswith(option[:k]) for other in options if other != option):
+            return option[:k]
+    return option[:-1]
+
+
+def _generated_corpus(tmp):
+    """argv lists built from each subcommand's table: orders, repeats, spellings, bad values, help, '--'."""
+    from itertools import permutations
+
+    from ckkit.cli import _TABLES
+
+    formulas, requests = _requests(tmp)
+    # a value for each option that no request gives
+    good = {"formula_opt": "<> p -> [] p", "formulas_file": formulas, "props": "p,q", "preceq_closure": "off"}
+    corpus = []
+    for command, groups in requests.items():
+        options = _TABLES[command][0] if command in _TABLES else {}
+        flat = [command] + [token for group in groups for token in group]
+        given = {options[g[0]] for g in groups if g[0] in options}
+        corpus += [[command] + sum(order, []) for order in permutations(groups)]
+        corpus += [flat + group for group in groups]  # each argument repeated
+        for action in dict.fromkeys(options.values()):
+            if action not in given:  # every option of the table at least once
+                corpus.append(flat + action.option_strings + ([] if action.nargs == 0 else [good[action.dest]]))
+        for option in options:
+            corpus.append(flat + [_unique_prefix(option, options)] + ([] if options[option].nargs == 0 else ["p"]))
+        for i, group in enumerate(groups):
+            rest = groups[:i] + groups[i + 1:]
+            head = [command] + sum(rest, [])
+            action = options.get(group[0])
+            if action is None:  # the positional
+                corpus += [head + ["-p"], head + ["-p -> p"], head + ["- p"]]
+            elif action.nargs != 0:
+                corpus += [head + [f"{group[0]}={group[1]}"], head + [group[0], "-1"],
+                           head + [group[0], "-p"], head + [group[0]]]
+                if action.type is int:
+                    corpus.append(head + [group[0], "two"])
+                if action.choices is not None:
+                    corpus.append(head + [group[0], "bogus"])
+            corpus.append(head)  # the argument left out, required or not
+        corpus.append(flat + ["extra"])
+        corpus += [flat[:i] + ["--"] + flat[i:] for i in range(1, len(flat) + 1)]
+        corpus += [flat[:i] + ["-h"] + flat[i:] for i in range(len(flat) + 1)]
+        corpus += [["--help", command], flat + ["--help"]]
+    return corpus
+
+
+def _parity_corpus(tmp):
+    """Hand-picked argv lists over help, usage errors, abbreviations and '--', and the generated corpus."""
+    corpus = _generated_corpus(tmp)
     corpus += [
         [], ["-h"], ["--help"], ["no-such-command"], ["no-such-command", "p"], ["--bogus"],
         ["find-countermodel", "p", "--bogus"],
@@ -531,6 +586,7 @@ def _parity_corpus(tmp):
         ["find-countermodel", "p", "--max-worlds", "two"],
         ["find-countermodel", "p", "--class", "kb"],
         ["find-countermodel"],
+        ["find-countermodel", "", "--props", ""],
         ["compare-classes", "p", "--class-a", "ck"],
         ["parse"], ["parse", "--", "~p"], ["parse", "p", "--bogus", "q"],
         ["eval", "--model", FIG2, "--world", "w"],
@@ -541,17 +597,82 @@ def _parity_corpus(tmp):
 
 
 class TestArgumentParity:
-    """main parses with each subcommand's parser alone; the reference parses with the whole parser."""
+    """main reads a plain argv from the subcommand's table, anything else with its parser alone;
+    the reference parses every argv with the whole parser."""
 
     def test_same_code_and_output(self, tmp_path, capsys, monkeypatch):
         from ckkit import cli
 
+        monkeypatch.chdir(tmp_path)  # export-dot writes '--out -1' and '--ou p' to the working directory
         for argv in _parity_corpus(str(tmp_path)):
             got = run(capsys, *argv)
             with monkeypatch.context() as m:
                 m.setattr(cli, "_parse_args", cli.build_parser().parse_args)
                 expected = run(capsys, *argv)
             assert got == expected, argv
+
+    def test_same_namespace(self, tmp_path, capsys):
+        from ckkit import cli
+
+        for argv in _parity_corpus(str(tmp_path)):
+            table = cli._TABLES.get(argv[0]) if argv else None
+            plain = table and cli._read_plain(table, argv[0], argv[1:])
+            try:
+                expected = cli.build_parser().parse_args(argv)
+            except SystemExit:
+                assert plain is None, argv  # argparse reports what the table cannot read
+                continue
+            finally:
+                capsys.readouterr()
+            assert cli._parse_args(argv) == expected, argv
+            if plain is not None:
+                assert plain == expected, argv
+
+    def test_every_order_read_by_the_table(self, tmp_path):
+        from itertools import permutations
+
+        from ckkit import cli
+
+        for command, groups in _requests(str(tmp_path))[1].items():
+            if command in cli._TABLES:
+                for order in permutations(groups):
+                    assert cli._read_plain(cli._TABLES[command], command, sum(order, [])) is not None, order
+
+    def test_traps(self):
+        from ckkit import cli
+
+        # set_defaults at the parser level: compare-classes's base class
+        assert cli._read_plain(cli._TABLES["compare-classes"], "compare-classes",
+                               ["p", "--class-a", "ck", "--class-b", "ikb"]).cls == "ck"
+        # a required positional left out, and one given twice
+        assert cli._read_plain(cli._TABLES["parse"], "parse", []) is None
+        assert cli._read_plain(cli._TABLES["parse"], "parse", ["p", "q"]) is None
+        # a nested subcommand: argparse reads the whole of it
+        assert "axioms" not in cli._TABLES
+        assert set(cli._TABLES) == set(cli._SUBPARSERS) - {"axioms"}
+
+    def test_workload_requests_skip_argparse(self, tmp_path, capsys, monkeypatch):
+        import argparse
+
+        from ckkit import cli
+
+        path = tmp_path / "formulas.txt"
+        path.write_text("p -> [] <> p\n<> p -> [] p\n")
+        requests = [["find-countermodel", "[] p -> p", "--class", "ckb", "--max-worlds", "3"],
+                    ["compare-classes", "--formulas-file", str(path), "--class-a", "ckb", "--class-b", "ikb"]]
+        expected = []
+        for argv in requests:
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_parse_args", cli.build_parser().parse_args)
+                expected.append(run(capsys, *argv))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse was called")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+        assert [run(capsys, *argv) for argv in requests] == expected
+        assert expected[0][0] == 2 and expected[1][1].endswith("mismatches: 0\n")
 
     def test_argv_from_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["ckkit", "parse", "p->p"])

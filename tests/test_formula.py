@@ -508,6 +508,19 @@ class TestInterning:
         gc.collect()
         assert len(formula._nodes) == before
 
+    def test_table_shrinks_after_a_peak(self):
+        # A dict reuses the slots of deleted keys only when an insert resizes
+        # it, and a resize sizes it to its live entries: ordinary inserts after
+        # a peak bring the table back to its working size.
+        gc.collect()
+        nodes = [Box(Atom(f"peak_{k}")) for k in range(50_000)]
+        peak = sys.getsizeof(formula._nodes)
+        del nodes
+        gc.collect()
+        for k in range(25_000):  # 8 new nodes each, built and dropped
+            parse(f"[] q{k} -> <> (q{k} & p) | ~q{k}")
+        assert sys.getsizeof(formula._nodes) < peak / 10
+
 
 class TestNotAFormula:
     @pytest.mark.parametrize("walk", [render, analyze, lambda f: list(subformulas(f)),

@@ -53,6 +53,22 @@ class TestParams:
         with pytest.raises(ValueError, match="^props must be a sequence of names, not the string"):
             EnumParams(max_worlds=2, props=props)
 
+    @pytest.mark.parametrize("props", [None, 3, iter([1]), ("p", 3), (None,)])
+    def test_props_not_names(self, props):
+        with pytest.raises(ValueError, match="^props must be a sequence of names|distinct atom names"):
+            EnumParams(max_worlds=2, props=props)
+
+    @pytest.mark.parametrize("props", [iter(["p", "q"]), ["q", "p"], {"p": 0}])
+    def test_props_any_iterable_of_names(self, props):
+        params = EnumParams(max_worlds=1, props=props)
+        assert isinstance(params.props, tuple) and sorted(params.props) == sorted(set(params.props))
+        assert isinstance(find_countermodel(parse("p -> p"), params), NoneFound)
+
+    @pytest.mark.parametrize("max_worlds", [3.5, 2.0, "2", None, True, False])
+    def test_max_worlds_not_an_int(self, max_worlds):
+        with pytest.raises(ValueError, match="^max_worlds must be an int, not "):
+            EnumParams(max_worlds=max_worlds, props=("p",))
+
     def test_no_worlds(self):
         with pytest.raises(ValueError, match="^max_worlds must be at least 1$"):
             EnumParams(max_worlds=0)
